@@ -94,14 +94,13 @@ class SimilarityReport:
 
 
 def similarity_invariants(a: ScaledBasis, b: ScaledBasis, scale,
-                          norms=(2, 4, 6, 8),
-                          threads: int | None = None) -> SimilarityReport:
+                          norms=(2, 4, 6, 8)) -> SimilarityReport:
     """Invariant-level check that a could be a norm-scale copy of b.
 
     Verifies det(a) = scale^rank * det(b), evenness of both, and the
-    norm-profile equalities |a(scale*n)| = |b(n)| for n in norms.  The
-    norm list is adjustable because a full profile is enumeration-heavy
-    at rank 32.
+    norm-profile equalities |a(scale*n)| = |b(n)| for n in norms.  Each
+    lattice is searched once, out to the largest asked norm; the norm
+    list is adjustable because that search is heavy at rank 32.
     """
     scale = Fraction(scale)
     if scale <= 0:
@@ -110,59 +109,10 @@ def similarity_invariants(a: ScaledBasis, b: ScaledBasis, scale,
     rank = len(gb.entries)
     det_ok = exlat.determinant(ga) == scale ** rank * exlat.determinant(gb)
     even_ok = exlat.is_even(ga) and exlat.is_even(gb)
-    counts = []
-    for n in norms:
-        n = Fraction(n)
-        ca = exlat.enumerate_norm(a, scale * n, threads=threads)
-        cb = exlat.enumerate_norm(b, n, threads=threads)
-        counts.append((n, ca, cb))
-    return SimilarityReport(scale, det_ok, even_ok, tuple(counts))
-
-
-@dataclass(frozen=True)
-class BwTowerReport:
-    det16: Fraction
-    det32: Fraction
-    kissing16: int
-    kissing32: int
-    quotient_bw_bw1: tuple[int, ...]
-    tower_closes: bool
-    similarity16: SimilarityReport
-    similarity32: SimilarityReport
-
-    def as_dict(self) -> dict:
-        return {
-            "det16": str(self.det16),
-            "det32": str(self.det32),
-            "kissing16": self.kissing16,
-            "kissing32": self.kissing32,
-            "quotient_bw_bw1": list(self.quotient_bw_bw1),
-            "tower_closes": self.tower_closes,
-            "similarity16_ok": self.similarity16.all_ok,
-            "similarity32_ok": self.similarity32.all_ok,
-        }
-
-
-def tower_report(threads: int | None = None, full_profile: bool = False) -> BwTowerReport:
-    """One-shot structural sweep of the pair tower.
-
-    full_profile extends the rank-32 similarity check to norms {2,4};
-    norm 4 at rank 32 is the expensive enumeration.
-    """
-    b16, b32 = bw16(), bw32()
-    sim16 = similarity_invariants(
-        exlat.rescale_metric(exlat.dual(b16), 2), b16, 1,
-        norms=(2, 4, 6, 8), threads=threads)
-    sim32 = similarity_invariants(
-        bw1(), b32, 2, norms=(2, 4) if full_profile else (2,),
-        threads=threads)
-    return BwTowerReport(
-        det16=exlat.determinant(exlat.gram(b16)),
-        det32=exlat.determinant(exlat.gram(b32)),
-        kissing16=exlat.enumerate_norm(b16, 4, threads=threads),
-        kissing32=exlat.enumerate_norm(b32, 4, threads=threads) if full_profile else 0,
-        quotient_bw_bw1=exlat.quotient_invariants(b32, bw1()),
-        tower_closes=tower_check(),
-        similarity16=sim16,
-        similarity32=sim32,
-    )
+    norms = [Fraction(n) for n in norms]
+    if any(n <= 0 for n in norms):
+        raise ValueError("norms must be positive")
+    top = max(norms, default=0)
+    sa, sb = exlat.shell_counts(a, scale * top), exlat.shell_counts(b, top)
+    counts = tuple((n, sa.get(scale * n, 0), sb.get(n, 0)) for n in norms)
+    return SimilarityReport(scale, det_ok, even_ok, counts)

@@ -95,7 +95,7 @@ def _emit(args, results: list[CheckResult], text_lines: list[str],
 
 
 def _cmd_verify_paper(args) -> int:
-    report = verify.run_all(skip_slow=args.skip_slow, threads=args.threads)
+    report = verify.run_all(skip_slow=args.skip_slow)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -132,7 +132,7 @@ def _cmd_lattice_build(args) -> int:
 
 def _cmd_lattice_enumerate(args) -> int:
     b = _load_lattice(args)
-    count = exlat.enumerate_norm(b, args.norm, threads=args.threads)
+    count = exlat.enumerate_norm(b, args.norm)
     name = _lattice_label(args)
     facts = [_info(f"lattice.{name}.norm-{args.norm}-count", "1.5", count)]
     if args.count_only:
@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="run the full check registry")
     p.add_argument("--skip-slow", action="store_true",
                    help="omit the rank-32 enumeration and 527-vertex checks")
-    p.add_argument("--threads", type=_positive_int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="accepted and ignored: the search runs in one thread")
     _add_json_out(p)
     p.set_defaults(func=_cmd_verify_paper)
 
@@ -297,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", type=_fraction, required=True)
     p.add_argument("--count-only", action="store_true",
                    help="print the bare count")
-    p.add_argument("--threads", type=_positive_int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="accepted and ignored: the search runs in one thread")
     _add_json_out(p)
     p.set_defaults(func=_cmd_lattice_enumerate)
 

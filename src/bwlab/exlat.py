@@ -20,11 +20,10 @@ bases, so equality is a tuple comparison.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -407,12 +406,31 @@ def _expand_stage(L: np.ndarray, i: int, X, C, PN, FREE, r2: float):
     return newX, newC, newPN, newFREE
 
 
-def _run_block(M, L, T, r2, block, collect):
-    """Depth-first over stages with block splitting to bound memory."""
+def _search(b: ScaledBasis, T: int, keep: bool = False):
+    """One depth-first walk of the pruned tree out to the integer radius T.
+
+    Returns the histogram {t: count} of every exact integer norm
+    0 < t <= T (norms |x . mat|^2 in lll_reduce(b)'s integer frame) and,
+    when keep is set, the rows of norm exactly T.  The float radius is
+    T + ENUM_MARGIN, so a vector of norm t <= T passes every pruning test
+    with at least the slack of a norm-T vector; each leaf's norm is then
+    confirmed in int64.  The root is free (the leading nonzero coordinate
+    is positive), so each leaf stands for the pair {v, -v}.  Stages are
+    split into chunks to bound memory.
+    """
+    red = lll_reduce(b)
+    M = np.array(red.mat, dtype=np.int64)
+    if np.abs(M).max(initial=0) > 1 << 20:
+        raise ValueError("basis entries too large for the int64 kernel")
+    if T > 1 << 40:
+        raise ValueError("norm target too large for the int64 kernel")
     r = M.shape[0]
-    count = 0
+    L = np.linalg.cholesky((M @ M.T).astype(np.float64))
+    r2 = float(T) + ENUM_MARGIN
+    hist: dict[int, int] = {}
     found = []
-    stack = [block]
+    stack = [(r, np.zeros((1, r), dtype=np.int64), np.zeros((1, r)),
+              np.zeros(1), np.ones(1, dtype=bool))]
     while stack:
         i, X, C, PN, FREE = stack.pop()
         while i > 0:
@@ -433,103 +451,71 @@ def _run_block(M, L, T, r2, block, collect):
         # exact integer confirmation for every float-accepted candidate
         V = X @ M
         S = np.einsum("ij,ij->i", V, V)
-        sel = S == T
-        nsel = int(sel.sum())
-        if nsel:
-            count += 2 * nsel  # each found v stands for the pair {v, -v}
-            if collect:
-                W = V[sel]
-                found.append(W)
-                found.append(-W)
-    return count, found
+        norms, counts = np.unique(S[(S > 0) & (S <= T)], return_counts=True)
+        for t, c in zip(norms.tolist(), counts.tolist()):
+            hist[t] = hist.get(t, 0) + 2 * c
+        if keep:
+            W = V[S == T]
+            found += [W, -W]
+    return hist, found
 
 
-def _root_blocks(L, r, r2, workers: int):
-    """Split the top coordinate's range into per-worker start blocks."""
-    ell = L[r - 1, r - 1]
-    hi = int(np.floor(np.sqrt(r2) / ell + 1e-9))
-    ts = np.arange(0, hi + 1, dtype=np.int64)  # free mode: t >= 0 only
-    if len(ts) == 0:
-        return []
-    parts = np.array_split(ts, min(workers, len(ts))) if workers > 1 else [ts]
-    blocks = []
-    for part in parts:
-        if len(part) == 0:
-            continue
-        X = np.zeros((len(part), r), dtype=np.int64)
-        X[:, r - 1] = part
-        C = part[:, None].astype(np.float64) * L[r - 1][None, :]
-        C[:, r - 1] = 0.0
-        comp = part.astype(np.float64) * L[r - 1, r - 1]
-        PN = comp * comp
-        FREE = part == 0
-        blocks.append((r - 1, X, C, PN, FREE))
-    return blocks
-
-
-@lru_cache(maxsize=32)
-def _enumerate_cached(b: ScaledBasis, n: Fraction, threads: int):
-    red = lll_reduce(b)
-    M = np.array(red.mat, dtype=np.int64)
-    if np.abs(M).max(initial=0) > 1 << 20:
-        raise ValueError("basis entries too large for the int64 kernel")
-    T = _norm_target(red, n)
-    ncols = M.shape[1]
-    if T is None:
-        return 0, np.empty((0, ncols), dtype=np.int64)
-    if T > 1 << 40:
-        raise ValueError("norm target too large for the int64 kernel")
-    r = M.shape[0]
-    A = (M @ M.T).astype(np.float64)
-    L = np.linalg.cholesky(A)
-    r2 = float(T) + ENUM_MARGIN
-    blocks = _root_blocks(L, r, r2, threads)
-    total = 0
-    collected = []
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(
-                lambda blk: _run_block(M, L, T, r2, blk, True), blocks))
-    else:
-        results = [_run_block(M, L, T, r2, blk, True) for blk in blocks]
-    for cnt, found in results:
-        total += cnt
-        collected.extend(found)
-    if total == 0:
-        return 0, np.empty((0, ncols), dtype=np.int64)
-    V = np.concatenate(collected, axis=0)
-    order = np.lexsort(V.T[::-1])
-    V = V[order]
-    V.setflags(write=False)
-    return total, V
+@lru_cache(maxsize=64)
+def _shells(b: ScaledBasis, T: int) -> MappingProxyType:
+    """Read-only norm histogram of the canonical basis b out to radius T."""
+    return MappingProxyType(_search(b, T)[0])
 
 
 def enumerate_norm(b: ScaledBasis, n, mode: str = "count",
                    threads: int | None = None):
     """All lattice vectors of exact norm n (both signs of each pair).
 
-    count mode returns the cardinality; collect mode returns a read-only
-    integer array of den-scaled frame coordinates, rows sorted
-    lexicographically.  LLL preconditioning, float Cholesky pruning with
-    an absolute radius margin, then exact integer confirmation.
+    count mode returns the cardinality, read from the cached norm
+    histogram of one search out to n.  collect mode searches again,
+    uncached, and returns a read-only integer array of den-scaled frame
+    coordinates, rows sorted lexicographically.  The search runs in one
+    thread; threads is accepted for compatibility and ignored.
     """
+    del threads
     if isinstance(n, float):
         raise TypeError("norm must be an exact int/Fraction, not float")
     if mode not in ("count", "collect"):
         raise ValueError("mode must be 'count' or 'collect'")
-    if Fraction(n) <= 0:
-        raise ValueError("norm must be positive")
-    if threads is None:
-        threads = os.cpu_count() or 1
     bb = hnf_basis(b)
-    count, vecs = _enumerate_cached(bb, Fraction(n), max(1, int(threads)))
-    return count if mode == "count" else vecs
+    T = _norm_target(bb, n)
+    if mode == "count":
+        return 0 if T is None else _shells(bb, T).get(T, 0)
+    found = [] if T is None else _search(bb, T, keep=True)[1]
+    if not found:
+        return np.empty((0, bb.ambient_dim), dtype=np.int64)
+    V = np.concatenate(found, axis=0)
+    V = V[np.lexsort(V.T[::-1])]
+    V.setflags(write=False)
+    return V
+
+
+def shell_counts(b: ScaledBasis, max_norm) -> dict[Fraction, int]:
+    """{n: number of lattice vectors of norm n} for 0 < n <= max_norm.
+
+    Norms without vectors are left out; keys ascend.  One cached search.
+    """
+    if isinstance(max_norm, float):
+        raise TypeError("norm must be an exact int/Fraction, not float")
+    bb = hnf_basis(b)
+    unit = bb.frame_scale / (bb.den * bb.den)
+    T = math.floor(Fraction(max_norm) / unit)
+    if T < 1:
+        return {}
+    return {t * unit: c for t, c in sorted(_shells(bb, T).items())}
 
 
 def generated_by_norm_vectors(b: ScaledBasis, n, threads: int | None = None) -> bool:
-    """True iff the vectors of norm n span the whole lattice."""
+    """True iff the vectors of norm n span the whole lattice.
+
+    The collect-mode search runs in one thread; threads is ignored.
+    """
     target = hnf_basis(b)
-    vecs = enumerate_norm(target, n, mode="collect", threads=threads)
+    vecs = enumerate_norm(target, n, mode="collect")
     if len(vecs) == 0:
         return False
     acc: list[list[int]] = []
@@ -546,15 +532,19 @@ def generated_by_norm_vectors(b: ScaledBasis, n, threads: int | None = None) -> 
 
 
 def minimum_norm(b: ScaledBasis, search_limit: int = 64) -> Fraction:
-    """Smallest positive vector norm, found by stepping the exact norm grid."""
+    """Smallest positive vector norm, from one search.
+
+    The shortest row of lll_reduce(b) is a lattice vector, so its norm
+    bounds the minimum from above; the search runs out to that bound,
+    capped at search_limit.
+    """
     bb = hnf_basis(b)
-    step = bb.frame_scale / (bb.den * bb.den)
-    n = step
-    while n <= search_limit:
-        if enumerate_norm(bb, n) > 0:
-            return n
-        n += step
-    raise RuntimeError(f"no vector of norm <= {search_limit} found")
+    unit = bb.frame_scale / (bb.den * bb.den)
+    bound = unit * min(sum(x * x for x in row) for row in lll_reduce(bb).mat)
+    shells = shell_counts(bb, min(bound, search_limit))
+    if not shells:
+        raise RuntimeError(f"no vector of norm <= {search_limit} found")
+    return min(shells)
 
 
 # --------------------------------------------------------------------------

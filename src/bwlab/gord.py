@@ -11,12 +11,16 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import sympy
 
 
 @dataclass(frozen=True)
 class FactoredInteger:
+    """Validated on construction from caller-supplied factors; results of
+    the arithmetic below combine valid factorizations and skip that pass."""
+
     factors: tuple[tuple[int, int], ...]  # ascending (prime, exponent >= 1)
 
     def __post_init__(self):
@@ -29,13 +33,20 @@ class FactoredInteger:
             raise ValueError("non-prime base in factorization")
 
     @staticmethod
+    def _trusted(factors: tuple[tuple[int, int], ...]) -> "FactoredInteger":
+        """Instance from factors already known to be valid, unchecked."""
+        fi = object.__new__(FactoredInteger)
+        object.__setattr__(fi, "factors", factors)
+        return fi
+
+    @staticmethod
+    @lru_cache(maxsize=256)
     def from_int(n: int) -> "FactoredInteger":
         if n < 1:
             raise ValueError("only positive integers")
-        if n == 1:
-            return FactoredInteger(())
         fac = sympy.factorint(n)
-        return FactoredInteger(tuple(sorted((int(p), int(e)) for p, e in fac.items())))
+        return FactoredInteger._trusted(
+            tuple(sorted((int(p), int(e)) for p, e in fac.items())))
 
     @staticmethod
     def from_dict(d: dict) -> "FactoredInteger":
@@ -55,7 +66,7 @@ class FactoredInteger:
         d = self.as_dict()
         for p, e in other.factors:
             d[p] = d.get(p, 0) + e
-        return FactoredInteger.from_dict(d)
+        return FactoredInteger._trusted(tuple(sorted(d.items())))
 
     def div(self, other: "FactoredInteger") -> "FactoredInteger":
         d = self.as_dict()
@@ -64,14 +75,16 @@ class FactoredInteger:
             if have < e:
                 raise ValueError(f"not divisible: prime {p} exponent {have} < {e}")
             d[p] = have - e
-        return FactoredInteger.from_dict(d)
+        return FactoredInteger._trusted(
+            tuple(sorted((p, k) for p, k in d.items() if k)))
 
     def pow(self, e: int) -> "FactoredInteger":
         if e < 0:
             raise ValueError("negative exponent")
         if e == 0:
-            return FactoredInteger(())
-        return FactoredInteger(tuple((p, k * e) for p, k in self.factors))
+            return FactoredInteger._trusted(())
+        return FactoredInteger._trusted(
+            tuple((p, k * e) for p, k in self.factors))
 
     def valuation(self, p: int) -> int:
         return self.as_dict().get(p, 0)

@@ -147,12 +147,8 @@ def j_series(n: int) -> QSeries:
     return eisenstein4(n).power(3).div(delta(n))
 
 
-def cube_root_j(n: int) -> QSeries:
-    """The unique cube root of j with leading term q^{-1/3}.
-
-    Computed as E4 * q^{-1/3} prod (1 - q^k)^{-8}, then certified by
-    cubing back against j to the shared truncation.
-    """
+def _certified_root_and_j(n: int) -> tuple[QSeries, QSeries]:
+    """cube_root_j(n) together with the j_series(n) that certified it."""
     if n < 3:
         raise ValueError("need at least three terms")
     root = QSeries(-1, eisenstein4(n).mul(euler_product(n, -8)).coeffs)
@@ -160,11 +156,19 @@ def cube_root_j(n: int) -> QSeries:
     jj = j_series(n)
     if cube.offset_thirds != jj.offset_thirds or cube.coeffs != jj.coeffs[:len(cube.coeffs)]:
         raise RuntimeError("cube of the computed root disagrees with j")
-    return root
+    return root, jj
+
+
+def cube_root_j(n: int) -> QSeries:
+    """The unique cube root of j with leading term q^{-1/3}.
+
+    Computed as E4 * q^{-1/3} prod (1 - q^k)^{-8}, then certified by
+    cubing back against j to the shared truncation.
+    """
+    return _certified_root_and_j(n)[0]
 
 
 def t1_series(n: int) -> QSeries:
     """cube_root_j * (j - 992): graded dimensions from q^{-4/3}."""
-    if n < 3:
-        raise ValueError("need at least three terms")
-    return cube_root_j(n).mul(j_series(n).add_scalar(-992))
+    root, jj = _certified_root_and_j(n)
+    return root.mul(jj.add_scalar(-992))

@@ -8,9 +8,11 @@ report; the two genuinely expensive computations (the rank-32 norm-4
 enumeration and the 527-vertex graph certification) sit behind a slow
 flag so the fast sweep stays in CI territory.
 
-Expected runtimes for the gated checks, measured on one laptop core
-count (8 threads): rank-32 norm-4 enumeration 3-60 s, 527-vertex pair
-count < 10 s, rank-32 index-2 similarity profile 2-10 s.
+Every lattice fact comes from one single-threaded tree search per
+lattice and radius, whose norm histogram is cached, so the rank-32
+kissing number, minimum and similarity profile share one norm-4 search.
+On a 2-core x86 machine the fast sweep takes about 5 s and the full
+sweep about 27 s, most of it the rank-32 norm-4 searches.
 """
 
 from __future__ import annotations
@@ -82,21 +84,21 @@ def _code_checks() -> list[Check]:
     ]
 
 
-def _lattice_checks(threads) -> list[Check]:
+def _lattice_checks() -> list[Check]:
     def kiss16():
-        return exlat.enumerate_norm(bw.bw16(), 4, threads=threads)
+        return exlat.enumerate_norm(bw.bw16(), 4)
 
     def kiss32():
-        return exlat.enumerate_norm(bw.bw32(), 4, threads=threads)
+        return exlat.enumerate_norm(bw.bw32(), 4)
 
     def sim16():
         return bw.similarity_invariants(
             exlat.rescale_metric(exlat.dual(bw.bw16()), 2), bw.bw16(), 1,
-            norms=(2, 4, 6, 8), threads=threads).all_ok
+            norms=(2, 4, 6, 8)).all_ok
 
     def sim32(norms):
         return bw.similarity_invariants(
-            bw.bw1(), bw.bw32(), 2, norms=norms, threads=threads).all_ok
+            bw.bw1(), bw.bw32(), 2, norms=norms).all_ok
 
     return [
         Check("lattice.bw16-even", "1.1", "True",
@@ -111,8 +113,7 @@ def _lattice_checks(threads) -> list[Check]:
               lambda: exlat.minimum_norm(bw.bw16())),
         Check("lattice.bw16-kissing", "1.5", "4320", kiss16),
         Check("lattice.bw16-norm4-generates", "1.1", "True",
-              lambda: exlat.generated_by_norm_vectors(bw.bw16(), 4,
-                                                      threads=threads)),
+              lambda: exlat.generated_by_norm_vectors(bw.bw16(), 4)),
         Check("lattice.bw32-even", "1.1", "True",
               lambda: exlat.is_even(exlat.gram(bw.bw32()))),
         Check("lattice.bw32-det", "1.1", "1",
@@ -120,13 +121,12 @@ def _lattice_checks(threads) -> list[Check]:
         Check("lattice.bw32-self-dual", "1.1", "True",
               lambda: exlat.lattice_equal(exlat.dual(bw.bw32()), bw.bw32())),
         Check("lattice.bw32-norm2-count", "1.1", "0",
-              lambda: exlat.enumerate_norm(bw.bw32(), 2, threads=threads)),
+              lambda: exlat.enumerate_norm(bw.bw32(), 2)),
         Check("lattice.bw32-kissing", "2.1", "146880", kiss32, slow=True),
         Check("lattice.bw32-min", "1.1", "4",
               lambda: exlat.minimum_norm(bw.bw32()), slow=True),
         Check("lattice.bw32-norm4-generates", "1.1", "True",
-              lambda: exlat.generated_by_norm_vectors(bw.bw32(), 4,
-                                                      threads=threads),
+              lambda: exlat.generated_by_norm_vectors(bw.bw32(), 4),
               slow=True),
         Check("lattice.bw1-det", "1.1", str(2 ** 32),
               lambda: exlat.determinant(exlat.gram(bw.bw1()))),
@@ -163,9 +163,7 @@ def _quad_checks() -> list[Check]:
     ]
 
 
-def _srg_checks(threads) -> list[Check]:
-    del threads  # pair counting is vectorized, not thread-split
-
+def _srg_checks() -> list[Check]:
     def h2_params():
         p = srg.srg_params(srg.perp_graph(f2quad.hyperbolic(2)))
         return (p.v, p.k, p.lam, p.mu)
@@ -243,18 +241,18 @@ def _series_checks() -> list[Check]:
     ]
 
 
-def _ledger_defs(threads, skip_slow: bool) -> list[Check]:
+def _ledger_defs() -> list[Check]:
     """The dimension bookkeeping: every count must tie out both ways."""
-    defs = [
+    return [
         Check("ledger.135", "1.5", "135",
               lambda: 16 + comb(16, 2) - 1),
         Check("ledger.2160", "1.5", "2160",
-              lambda: exlat.enumerate_norm(bw.bw16(), 4, threads=threads) // 2),
+              lambda: exlat.enumerate_norm(bw.bw16(), 4) // 2),
         Check("ledger.2295", "1.5", "2295", lambda: 135 + 2160),
         Check("ledger.527", "2.1", "527",
               lambda: 32 + comb(32, 2) - 1),
         Check("ledger.73440", "2.1", "73440",
-              lambda: exlat.enumerate_norm(bw.bw32(), 4, threads=threads) // 2,
+              lambda: exlat.enumerate_norm(bw.bw32(), 4) // 2,
               slow=True),
         Check("ledger.65536", "2.1", "65536", lambda: 2 ** 16),
         Check("ledger.139503", "2.1", "139503",
@@ -269,28 +267,19 @@ def _ledger_defs(threads, skip_slow: bool) -> list[Check]:
         Check("ledger.139504-series", "intro", "139504",
               lambda: qser.t1_series(6).coefficient(Fraction(2, 3))),
     ]
-    if skip_slow:
-        defs = [c for c in defs if not c.slow]
-    return defs
 
 
-def ledger_checks(skip_slow: bool = False,
-                  threads: int | None = None) -> list[CheckResult]:
-    """Evaluate the cross-module dimension identities."""
-    return [run_check(c) for c in _ledger_defs(threads, skip_slow)]
-
-
-def build_registry(threads: int | None = None) -> dict[str, list[Check]]:
+def build_registry() -> dict[str, list[Check]]:
     """All checks, grouped by module, in fixed registration order."""
     return {
         "code": _code_checks(),
-        "lattice": _lattice_checks(threads),
+        "lattice": _lattice_checks(),
         "quad": _quad_checks(),
-        "srg": _srg_checks(threads),
+        "srg": _srg_checks(),
         "orders": _orders_checks(),
         "rep": _rep_checks(),
         "series": _series_checks(),
-        "ledger": _ledger_defs(threads, skip_slow=False),
+        "ledger": _ledger_defs(),
     }
 
 
@@ -303,13 +292,13 @@ def make_report(results: list[CheckResult]) -> dict:
     }
 
 
-def run_all(skip_slow: bool = True, threads: int | None = None) -> dict:
+def run_all(skip_slow: bool = True) -> dict:
     """Execute the whole registry and return the report dict.
 
     skip_slow omits the rank-32 norm-4 enumeration, everything derived
     from it, and the 527-vertex graph certification.
     """
-    registry = build_registry(threads)
+    registry = build_registry()
     results = []
     for module, checks in registry.items():
         if not checks:

@@ -119,18 +119,3 @@ def test_similarity32_full_profile():
     rep = bw.similarity_invariants(bw.bw1(), bw.bw32(), 2, norms=(2, 4))
     assert rep.all_ok
     assert [cb for _, _, cb in rep.norm_counts] == [0, 146880]
-
-
-@pytest.mark.slow
-def test_tower_report_full():
-    rep = bw.tower_report(full_profile=True)
-    assert rep.det16 == 256
-    assert rep.det32 == 1
-    assert rep.kissing16 == 4320
-    assert rep.kissing32 == 146880
-    assert rep.quotient_bw_bw1 == (2,) * 16
-    assert rep.tower_closes
-    assert rep.similarity16.all_ok
-    assert rep.similarity32.all_ok
-    d = rep.as_dict()
-    assert d["tower_closes"] is True and d["kissing32"] == 146880

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bwlab import exlat
+from bwlab import bw, exlat
 from bwlab.exlat import ContainmentError, ScaledBasis
 
 from . import _oracles
@@ -228,9 +228,18 @@ def test_enumerate_matches_box_oracle():
     for _ in range(25):
         b = _oracles.random_small_basis(rng)
         step = b.frame_scale / (b.den * b.den)
+        oracle = {}
         for mult in (1, 2, 3, 5, 8):
             n = step * mult
-            assert exlat.enumerate_norm(b, n) == _oracles.box_norm_count(b, n)
+            oracle[n] = _oracles.box_norm_count(b, n)
+            assert exlat.enumerate_norm(b, n) == oracle[n]
+        shells = exlat.shell_counts(b, 3 * step)
+        assert shells == {n: oracle[n] for n in (step, 2 * step, 3 * step)
+                          if oracle[n]}
+        if shells:
+            assert exlat.minimum_norm(b) == min(shells)
+        else:
+            assert exlat.minimum_norm(b) > 3 * step
 
 
 def test_collect_mode_rows_are_exact_and_sorted():
@@ -249,14 +258,16 @@ def test_collect_mode_rows_are_exact_and_sorted():
         rows[0, 0] = 99  # read-only view
 
 
-def test_enumerate_counts_stable_across_thread_counts():
-    e8 = _e8()
-    c1 = exlat.enumerate_norm(e8, 4, threads=1)
-    c4 = exlat.enumerate_norm(e8, 4, threads=4)
-    assert c1 == c4 == 2160
-    v1 = exlat.enumerate_norm(e8, 4, mode="collect", threads=1)
-    v4 = exlat.enumerate_norm(e8, 4, mode="collect", threads=4)
-    assert np.array_equal(v1, v4)
+def test_count_collect_and_shell_counts_agree():
+    # count mode reads the cached histogram, collect mode searches again
+    for lattice in (_e8(), bw.bw16()):
+        norms = (2, 4, 6, 8)
+        counts = {Fraction(n): exlat.enumerate_norm(lattice, n) for n in norms}
+        for n in norms:
+            assert len(exlat.enumerate_norm(lattice, n, mode="collect")) \
+                == counts[n]
+        assert exlat.shell_counts(lattice, 8) == {
+            n: c for n, c in counts.items() if c}
 
 
 def test_enumerate_input_validation():

@@ -85,16 +85,17 @@ def test_run_check_captures_exceptions():
 
 def test_empty_module_registry_rejected(monkeypatch):
     monkeypatch.setattr(verify, "build_registry",
-                        lambda threads=None: {"code": []})
+                        lambda: {"code": []})
     with pytest.raises(RuntimeError):
         verify.run_all()
 
 
 def test_ledger_checks_fast_and_full():
-    fast = verify.ledger_checks(skip_slow=True)
+    ledger = verify.build_registry()["ledger"]
+    assert len(ledger) == 12
+    fast = [verify.run_check(c) for c in ledger if not c.slow]
     assert len(fast) == 11
     assert all(r.passed for r in fast)
-    assert len(verify._ledger_defs(None, skip_slow=False)) == 12
 
 
 def test_make_report_flags_failure():
