@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import exlat, f2quad, gord, qser, srg, verify
+from . import bw, exlat, f2quad, gord, qser, srg, verify
 from .verify import CheckResult
 
 
@@ -59,14 +59,13 @@ def _load_space(args) -> f2quad.QuadSpace:
     return f2quad.hyperbolic(m) if kind == "h" else f2quad.elliptic(m)
 
 
-_LATTICES = {"bw16": None, "bw32": None, "bw1": None}
+_LATTICES = {"bw16": bw.bw16, "bw32": bw.bw32, "bw1": bw.bw1}
 
 
 def _load_lattice(args) -> exlat.ScaledBasis:
-    from . import bw
     if getattr(args, "file", None):
         return exlat.read_lattice(args.file)
-    return {"bw16": bw.bw16, "bw32": bw.bw32, "bw1": bw.bw1}[args.lattice]()
+    return _LATTICES[args.lattice]()
 
 
 def _info(check_id: str, location: str, value) -> CheckResult:
@@ -74,10 +73,9 @@ def _info(check_id: str, location: str, value) -> CheckResult:
     return CheckResult(check_id, location, text, text, True, 0)
 
 
-def _emit(args, results: list[CheckResult], text_lines: list[str],
-          report_out: str | None = None) -> int:
-    """Common output path: report JSON, optional report file, exit code."""
-    report = verify.make_report(results)
+def _emit(args, report: dict, text_lines: list[str]) -> int:
+    """Common output path: report JSON, optional --out report file, exit code."""
+    report_out = getattr(args, "out", None)
     if report_out:
         with open(report_out, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -96,15 +94,7 @@ def _emit(args, results: list[CheckResult], text_lines: list[str],
 
 def _cmd_verify_paper(args) -> int:
     report = verify.run_all(skip_slow=args.skip_slow)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(verify.render_text(report))
-    return 0 if report["pass"] else 1
+    return _emit(args, report, [verify.render_text(report)])
 
 
 def _lattice_label(args) -> str:
@@ -113,8 +103,8 @@ def _lattice_label(args) -> str:
 
 def _cmd_lattice_build(args) -> int:
     b = exlat.hnf_basis(_load_lattice(args))
-    if args.out:
-        exlat.write_lattice(b, args.out)
+    if args.lattice_out:
+        exlat.write_lattice(b, args.lattice_out)
     name = _lattice_label(args)
     g = exlat.gram(b)
     facts = [
@@ -125,9 +115,9 @@ def _cmd_lattice_build(args) -> int:
         _info(f"lattice.{name}.even", "1.1", exlat.is_even(g)),
     ]
     lines = [f"{r.id.split('.', 2)[-1]} = {r.actual}" for r in facts]
-    if args.out:
-        lines.append(f"wrote basis to {args.out}")
-    return _emit(args, facts, lines, report_out=None)
+    if args.lattice_out:
+        lines.append(f"wrote basis to {args.lattice_out}")
+    return _emit(args, verify.make_report(facts), lines)
 
 
 def _cmd_lattice_enumerate(args) -> int:
@@ -139,7 +129,7 @@ def _cmd_lattice_enumerate(args) -> int:
         lines = [str(count)]
     else:
         lines = [f"{count} vectors of norm {args.norm}"]
-    return _emit(args, facts, lines, report_out=getattr(args, "out", None))
+    return _emit(args, verify.make_report(facts), lines)
 
 
 def _cmd_lattice_invariants(args) -> int:
@@ -155,7 +145,7 @@ def _cmd_lattice_invariants(args) -> int:
         _info(f"lattice.{name}.min-norm", "1.5", exlat.minimum_norm(b)),
     ]
     lines = [f"{r.id.split('.', 2)[-1]} = {r.actual}" for r in facts]
-    return _emit(args, facts, lines, report_out=getattr(args, "out", None))
+    return _emit(args, verify.make_report(facts), lines)
 
 
 def _cmd_quad_singular_count(args) -> int:
@@ -164,8 +154,7 @@ def _cmd_quad_singular_count(args) -> int:
     label = args.file if getattr(args, "file", None) else "".join(
         str(p) for p in args.space)
     facts = [_info(f"quad.{label}.singular-count", "1.5", count)]
-    return _emit(args, facts, [str(count)],
-                 report_out=getattr(args, "out", None))
+    return _emit(args, verify.make_report(facts), [str(count)])
 
 
 def _cmd_quad_tss(args) -> int:
@@ -175,8 +164,7 @@ def _cmd_quad_tss(args) -> int:
         str(p) for p in args.space)
     value = "none" if basis is None else tuple(basis)
     facts = [_info(f"quad.{label}.tss-{args.k}", "2.8", value)]
-    return _emit(args, facts, [str(value)],
-                 report_out=getattr(args, "out", None))
+    return _emit(args, verify.make_report(facts), [str(value)])
 
 
 def _cmd_srg_perp(args) -> int:
@@ -189,13 +177,12 @@ def _cmd_srg_perp(args) -> int:
     if isinstance(params, srg.NotStronglyRegular):
         fail = CheckResult(f"srg.{label}.params", "2.5",
                            "strongly regular", str(params), False, 0)
-        return _emit(args, [fail], [f"not strongly regular: {params}"],
-                     report_out=getattr(args, "out", None))
+        return _emit(args, verify.make_report([fail]),
+                     [f"not strongly regular: {params}"])
     tup = (params.v, params.k, params.lam, params.mu,
            params.r, params.s, params.f, params.g)
     facts = [_info(f"srg.{label}.params", "2.5", tup)]
-    return _emit(args, facts, [str(tup)],
-                 report_out=getattr(args, "out", None))
+    return _emit(args, verify.make_report(facts), [str(tup)])
 
 
 def _cmd_srg_feasible(args) -> int:
@@ -205,14 +192,13 @@ def _cmd_srg_feasible(args) -> int:
     lines = [f"(lam, mu, r, s, f, g) candidates for "
              f"v={args.v}, k={args.k}: {len(rows)}"]
     lines += [str((p.lam, p.mu, p.r, p.s, p.f, p.g)) for p in rows]
-    return _emit(args, facts, lines, report_out=getattr(args, "out", None))
+    return _emit(args, verify.make_report(facts), lines)
 
 
 def _cmd_orders_e6(args) -> int:
     fi = gord.e6_order(args.q)
     facts = [_info(f"orders.e6-q{args.q}", "2.6-2.7", fi)]
-    return _emit(args, facts, [str(fi)],
-                 report_out=getattr(args, "out", None))
+    return _emit(args, verify.make_report(facts), [str(fi)])
 
 
 def _cmd_orders_shape(args) -> int:
@@ -224,14 +210,14 @@ def _cmd_orders_shape(args) -> int:
         facts.append(_info(f"orders.shape.{args.shape}.sylow-{args.sylow}",
                            "2.8", part))
         lines.append(f"{args.sylow}-part: {part}")
-    return _emit(args, facts, lines, report_out=getattr(args, "out", None))
+    return _emit(args, verify.make_report(facts), lines)
 
 
 def _cmd_xrep_check(args) -> int:
     results = [verify.run_check(c) for c in verify._rep_checks()]
     lines = [f"[{'ok' if r.passed else 'FAIL'}] {r.id}: {r.actual}"
              for r in results]
-    return _emit(args, results, lines, report_out=getattr(args, "out", None))
+    return _emit(args, verify.make_report(results), lines)
 
 
 def _cmd_qseries_t1(args) -> int:
@@ -239,7 +225,7 @@ def _cmd_qseries_t1(args) -> int:
     facts = [_info(f"series.t1.q^{e}", "intro", c)
              for e, c in series.terms()]
     lines = [f"q^{e}: {c}" for e, c in series.terms()]
-    return _emit(args, facts, lines, report_out=getattr(args, "out", None))
+    return _emit(args, verify.make_report(facts), lines)
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = lat_sub.add_parser("build", help="write a canonical basis")
     _add_lattice_source(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write the lattice file here")
+    p.add_argument("--out", dest="lattice_out", metavar="OUT",
+                   help="write the lattice file here")
     p.set_defaults(func=_cmd_lattice_build)
 
     p = lat_sub.add_parser("enumerate", help="count vectors of one norm")

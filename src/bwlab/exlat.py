@@ -26,6 +26,9 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
+from sympy import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
 
 # exact float-bound slack on the squared-norm radius; candidates are
 # confirmed with integer arithmetic afterwards, so the slack only has
@@ -173,40 +176,19 @@ def gram(b: ScaledBasis) -> GramMatrix:
     return GramMatrix(ent)
 
 
-def _det_fraction(entries) -> Fraction:
-    """Exact determinant of a square rational matrix (fraction-free Bareiss)."""
-    n = len(entries)
-    if n == 0:
-        return Fraction(1)
-    den_all = 1
-    for row in entries:
-        for x in row:
-            den_all = den_all * Fraction(x).denominator // math.gcd(
-                den_all, Fraction(x).denominator)
-    a = [[int(Fraction(x) * den_all) for x in row] for row in entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], den_all ** n)
+def _zz(rows) -> DomainMatrix:
+    """Integer rows as a DomainMatrix over ZZ (fraction-free kernels)."""
+    return DomainMatrix.from_list([[int(x) for x in r] for r in rows], ZZ)
 
 
 def determinant(g: GramMatrix) -> Fraction:
     n = g.size
     if any(len(row) != n for row in g.entries):
         raise ValueError("gram matrix not square")
-    return _det_fraction(g.entries)
+    rows = [[Fraction(x) for x in row] for row in g.entries]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return Fraction(int(_zz([[x * den for x in row] for row in rows]).det()),
+                    den ** n)
 
 
 def is_even(g: GramMatrix) -> bool:
@@ -219,57 +201,39 @@ def is_even(g: GramMatrix) -> bool:
 
 
 # --------------------------------------------------------------------------
-# rational linear algebra helpers (Fractions, exact)
+# containment and quotients
 
-def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+def _same_frame(a: ScaledBasis, b: ScaledBasis) -> bool:
+    return a.frame_scale == b.frame_scale and a.ambient_dim == b.ambient_dim
 
 
 def _coords_in(outer: ScaledBasis, rows: tuple[tuple[int, ...], ...],
-               row_den: int) -> list[list[Fraction]]:
-    """Coordinates of rows/row_den in the basis hnf_basis(outer); exact."""
+               row_den: int) -> tuple[list[list[int]], int]:
+    """Coordinates of rows/row_den in the basis hnf_basis(outer); exact.
+
+    Returns integer numerators and one positive common denominator.
+    """
     ob = hnf_basis(outer)
-    omat = [[Fraction(x) for x in r] for r in ob.mat]
-    r, n = len(omat), len(omat[0])
-    gramo = [[sum(omat[i][k] * omat[j][k] for k in range(n)) for j in range(r)]
-             for i in range(r)]
-    ginv = _fraction_inverse(gramo)
-    out = []
-    for row in rows:
-        w = [Fraction(x * ob.den, row_den) for x in row]
-        proj = [sum(w[k] * omat[j][k] for k in range(n)) for j in range(r)]
-        x = [sum(ginv[i][j] * proj[j] for j in range(r)) for i in range(r)]
-        # confirm the row really lies in the span
-        for k in range(n):
-            if sum(x[j] * omat[j][k] for j in range(r)) != w[k]:
-                raise ContainmentError("vector outside the outer lattice's span")
-        out.append(x)
-    return out
+    O, W = _zz(ob.mat), _zz(rows)
+    num, den = (O * O.transpose()).solve_den(O * W.transpose())
+    # confirm the rows really lie in the span
+    if num.transpose() * O != W * den:
+        raise ContainmentError("vector outside the outer lattice's span")
+    sign = 1 if den > 0 else -1
+    coords = [[sign * ob.den * int(x) for x in row]
+              for row in num.transpose().to_list()]
+    return coords, abs(int(den)) * row_den
 
 
 def contains(outer: ScaledBasis, inner: ScaledBasis) -> bool:
     """True iff every generator of inner lies in outer."""
-    if outer.frame_scale != inner.frame_scale:
+    if not _same_frame(outer, inner):
         return False
     try:
-        coords = _coords_in(outer, inner.mat, inner.den)
+        coords, den = _coords_in(outer, inner.mat, inner.den)
     except ContainmentError:
         return False
-    return all(x.denominator == 1 for row in coords for x in row)
+    return all(x % den == 0 for row in coords for x in row)
 
 
 def quotient_invariants(outer: ScaledBasis, inner: ScaledBasis) -> tuple[int, ...]:
@@ -278,21 +242,16 @@ def quotient_invariants(outer: ScaledBasis, inner: ScaledBasis) -> tuple[int, ..
     Raises ContainmentError if inner is not a finite-index sublattice
     (membership of every inner generator is checked exactly).
     """
-    if outer.frame_scale != inner.frame_scale:
+    if not _same_frame(outer, inner):
         raise ValueError("lattices live in different frames")
     ib = hnf_basis(inner)
-    coords = _coords_in(outer, ib.mat, ib.den)
-    x_int = []
-    for row in coords:
-        if any(c.denominator != 1 for c in row):
-            raise ContainmentError("inner lattice not contained in outer")
-        x_int.append([int(c) for c in row])
-    ob = hnf_basis(outer)
-    if len(x_int) != len(ob.mat):
+    coords, den = _coords_in(outer, ib.mat, ib.den)
+    if any(x % den for row in coords for x in row):
+        raise ContainmentError("inner lattice not contained in outer")
+    if len(coords) != len(hnf_basis(outer).mat):
         raise ContainmentError("inner lattice has smaller rank than outer")
-    from sympy import Matrix
-    from sympy.matrices.normalforms import invariant_factors
-    facs = [abs(int(d)) for d in invariant_factors(Matrix(x_int))]
+    x_int = _zz([[x // den for x in row] for row in coords])
+    facs = [abs(int(d)) for d in invariant_factors(x_int)]
     if any(d == 0 for d in facs):
         raise ContainmentError("inner lattice has smaller rank than outer")
     return tuple(d for d in facs if d != 1)
@@ -306,22 +265,18 @@ def lattice_equal(a: ScaledBasis, b: ScaledBasis) -> bool:
 
 
 def dual(b: ScaledBasis) -> ScaledBasis:
-    """Dual lattice {w in span : <w, L> integral}, canonicalized."""
+    """Dual lattice {w in span : <w, L> integral}, canonicalized.
+
+    With integer rows M the dual basis is (M M^T)^-1 M * den / frame_scale.
+    """
     bb = hnf_basis(b)
-    mat = [[Fraction(x) for x in r] for r in bb.mat]
-    r, n = len(mat), len(mat[0])
-    gmat = [[sum(mat[i][k] * mat[j][k] for k in range(n)) for j in range(r)]
-            for i in range(r)]
-    ginv = _fraction_inverse(gmat)
-    factor = Fraction(bb.den) / bb.frame_scale
-    drat = [[factor * sum(ginv[i][j] * mat[j][k] for j in range(r))
-             for k in range(n)] for i in range(r)]
-    den = 1
-    for row in drat:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    rows = [[int(x * den) for x in row] for row in drat]
-    return hnf_basis(ScaledBasis.from_rows(rows, den, bb.frame_scale))
+    fs = bb.frame_scale
+    M = _zz(bb.mat)
+    inv, d = (M * M.transpose()).inv_den()
+    sign = 1 if d > 0 else -1
+    rows = [[sign * bb.den * fs.denominator * int(x) for x in row]
+            for row in (inv * M).to_list()]
+    return hnf_basis(ScaledBasis.from_rows(rows, abs(int(d)) * fs.numerator, fs))
 
 
 def direct_sum(a: ScaledBasis, b: ScaledBasis) -> ScaledBasis:
@@ -356,11 +311,8 @@ def rescale_metric(b: ScaledBasis, factor) -> ScaledBasis:
 
 @lru_cache(maxsize=64)
 def lll_reduce(b: ScaledBasis) -> ScaledBasis:
-    from sympy import QQ, ZZ
-    from sympy.polys.matrices import DomainMatrix
     bb = hnf_basis(b)
-    dm = DomainMatrix.from_list([list(r) for r in bb.mat], ZZ)
-    red = dm.lll(delta=QQ(3, 4)).to_list()
+    red = _zz(bb.mat).lll(delta=QQ(3, 4)).to_list()
     rows = tuple(tuple(int(x) for x in r) for r in red)
     return ScaledBasis(rows, bb.den, bb.frame_scale)
 

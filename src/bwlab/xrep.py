@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 DEFAULT_CAP = 1 << 13
 
@@ -33,7 +35,7 @@ class MatrixGroup:
             if len(g) != self.dim or any(len(r) != self.dim for r in g):
                 raise ValueError("generator shape mismatch")
         for g in self.generators:
-            if round(abs(np.linalg.det(np.array(g, dtype=float)))) == 0:
+            if DomainMatrix.from_list(g, ZZ).det() == 0:
                 raise ValueError("singular generator")
 
     @staticmethod

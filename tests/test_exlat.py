@@ -5,6 +5,7 @@ _oracles, which bounds coefficients through an eigenvalue estimate and
 never touches the package's search kernel.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -143,11 +144,38 @@ def test_quotient_requires_containment():
     shifted = ScaledBasis.from_rows([[1, 1], [0, 3]], 2)
     with pytest.raises(ContainmentError):
         exlat.quotient_invariants(_zn(2), shifted)
+    wide = ScaledBasis.from_rows([[1, 0, 5], [0, 1, 7]], 1)
+    with pytest.raises(ValueError, match="different frames"):
+        exlat.quotient_invariants(_zn(2), wide)
+    with pytest.raises(ValueError, match="different frames"):
+        exlat.quotient_invariants(wide, _zn(2))
 
 
 def test_contains():
     assert exlat.contains(_zn(2), exlat.scale(_zn(2), 3))
     assert not exlat.contains(exlat.scale(_zn(2), 3), _zn(2))
+    wide = ScaledBasis.from_rows([[1, 0, 5], [0, 1, 7]], 1)
+    assert not exlat.contains(_zn(2), wide)
+    assert not exlat.contains(wide, _zn(2))
+
+
+def test_quotient_invariants_of_random_sublattices():
+    rng = random.Random(26)
+    for _ in range(25):
+        b = _oracles.random_small_basis(rng)
+        k = len(b.mat)
+        while True:
+            U = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+            # rank <= 6 and entries <= 3: the float determinant rounds exactly
+            det_u = round(np.linalg.det(np.array(U, dtype=np.float64)))
+            if det_u:
+                break
+        rows = np.array(U, dtype=np.int64) @ np.array(b.mat, dtype=np.int64)
+        inner = ScaledBasis.from_rows(rows.tolist(), b.den, b.frame_scale)
+        assert exlat.contains(b, inner)
+        assert math.prod(exlat.quotient_invariants(b, inner)) == abs(det_u)
+        assert exlat.determinant(exlat.gram(inner)) \
+            == det_u ** 2 * exlat.determinant(exlat.gram(b))
 
 
 def test_lattice_equal_requires_same_frame():

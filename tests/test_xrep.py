@@ -77,6 +77,11 @@ def test_generators_are_signed_permutations():
 def test_matrix_group_rejects_singular_generator():
     with pytest.raises(ValueError):
         xrep.MatrixGroup.from_arrays([np.zeros((2, 2), dtype=np.int64)])
+    # exact determinant 0, but the float determinant rounds to a nonzero value
+    big = 1 << 53
+    near = ((3 * big, big), (3 * big + 3, big + 1))
+    with pytest.raises(ValueError, match="singular"):
+        xrep.MatrixGroup((near,), 2)
 
 
 def test_char_norm_counts_trace_squares():
