@@ -59,15 +59,8 @@ class F2Matrix:
     def identity(n: int) -> "F2Matrix":
         return F2Matrix(n, n, tuple(1 << i for i in range(n)))
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "F2Matrix":
-        return F2Matrix(rows, cols, (0,) * rows)
-
     def row_lists(self) -> list[list[int]]:
         return [list(vec_to_bits(r, self.cols)) for r in self.bits]
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.bits[i] >> j) & 1
 
     def transpose(self) -> "F2Matrix":
         out = [0] * self.cols
@@ -105,74 +98,8 @@ class F2Matrix:
 
 
 def rank(m: F2Matrix) -> int:
-    """GF(2) row rank by Gaussian elimination on packed rows."""
-    rows = list(m.bits)
-    r = 0
-    for j in range(m.cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> j) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> j) & 1:
-                rows[i] ^= rows[r]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def row_space_basis(m: F2Matrix) -> tuple[int, ...]:
-    """Reduced-echelon basis of the row space (canonical for the space)."""
-    rows = list(m.bits)
-    basis = []
-    for j in range(m.cols):
-        pivot = None
-        for i, row in enumerate(rows):
-            if (row >> j) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        p = rows.pop(pivot)
-        rows = [r ^ p if (r >> j) & 1 else r for r in rows]
-        basis = [b ^ p if (b >> j) & 1 else b for b in basis]
-        basis.append(p)
-    return tuple(basis)
-
-
-def is_invertible(m: F2Matrix) -> bool:
-    return m.rows == m.cols and rank(m) == m.rows
-
-
-def inverse(m: F2Matrix) -> F2Matrix:
-    """Inverse of a square invertible matrix (Gauss-Jordan on [m | I])."""
-    if m.rows != m.cols:
-        raise ValueError("not square")
-    n = m.rows
-    left = list(m.bits)
-    right = [1 << i for i in range(n)]
-    r = 0
-    for j in range(n):
-        pivot = None
-        for i in range(r, n):
-            if (left[i] >> j) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("singular matrix")
-        left[r], left[pivot] = left[pivot], left[r]
-        right[r], right[pivot] = right[pivot], right[r]
-        for i in range(n):
-            if i != r and (left[i] >> j) & 1:
-                left[i] ^= left[r]
-                right[i] ^= right[r]
-        r += 1
-    return F2Matrix(n, n, tuple(right))
+    """GF(2) row rank: the size of a maximal independent subset of rows."""
+    return len(_independent_rows(m))
 
 
 def random_invertible(n: int, rng) -> F2Matrix:
@@ -265,25 +192,3 @@ def weight_enumerator(c: F2Code) -> dict[int, int]:
     """Hamming-weight distribution of the full codeword list."""
     counts = Counter(w.bit_count() for w in enumerate_codewords(c))
     return dict(sorted(counts.items()))
-
-
-# --- plain-text matrix files: first line "rows cols", then 0/1 rows ---
-
-def write_matrix(m: F2Matrix, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{m.rows} {m.cols}\n")
-        for row in m.row_lists():
-            fh.write(" ".join(str(b) for b in row) + "\n")
-
-
-def read_matrix(path) -> F2Matrix:
-    with open(path) as fh:
-        header = fh.readline().split()
-        rows, cols = int(header[0]), int(header[1])
-        data = []
-        for _ in range(rows):
-            data.append([int(t) for t in fh.readline().split()])
-    m = F2Matrix.from_rows(data, cols)
-    if m.rows != rows:
-        raise ValueError("row count mismatch in matrix file")
-    return m

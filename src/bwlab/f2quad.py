@@ -23,7 +23,6 @@ import numpy as np
 from .f2linalg import F2Matrix, rank, vec_to_bits
 
 MAX_SWEEP_DIM = 26
-_SWEEP_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -39,12 +38,6 @@ class QuadSpace:
         for i, row in enumerate(self.upper.bits):
             if row & ((1 << i) - 1):
                 raise ValueError("matrix has entries below the diagonal")
-
-    def bilinear_rows(self) -> tuple[int, ...]:
-        """Rows of B = U + U^T (zero diagonal, symmetric)."""
-        u = self.upper
-        ut = u.transpose()
-        return tuple(a ^ b for a, b in zip(u.bits, ut.bits))
 
 
 def hyperbolic(m: int) -> QuadSpace:
@@ -82,51 +75,71 @@ def eval_q(s: QuadSpace, x: int) -> int:
     return acc & 1
 
 
-def eval_b(s: QuadSpace, x: int, y: int) -> int:
-    top = 1 << s.dim
-    if not (0 <= x < top and 0 <= y < top):
+def bilinear_image(s: QuadSpace, x: int) -> int:
+    """B x = U x + U^T x, so that B(x, y) is the parity of (B x) & y."""
+    if not 0 <= x < (1 << s.dim):
         raise ValueError("vector length mismatch")
-    acc = 0
-    rem = x
-    brows = s.bilinear_rows()
-    for i, row in enumerate(brows):
-        if (rem >> i) & 1:
-            acc ^= (row & y).bit_count()
-    return acc & 1
+    img = 0
+    for i, row in enumerate(s.upper.bits):
+        img ^= (row if x >> i & 1 else 0) ^ (((row & x).bit_count() & 1) << i)
+    return img
+
+
+def eval_b(s: QuadSpace, x: int, y: int) -> int:
+    if not 0 <= y < (1 << s.dim):
+        raise ValueError("vector length mismatch")
+    return (bilinear_image(s, x) & y).bit_count() & 1
 
 
 def is_nondegenerate(s: QuadSpace) -> bool:
-    b = F2Matrix(s.dim, s.dim, s.bilinear_rows())
+    b = F2Matrix(s.dim, s.dim,
+                 tuple(bilinear_image(s, 1 << i) for i in range(s.dim)))
     return rank(b) == s.dim
 
 
-def _sweep_mask(s: QuadSpace) -> np.ndarray:
-    """Boolean array over all 2^dim vectors: True where q(x) = 0."""
+def _q_lanes(rows, x: np.ndarray) -> np.ndarray:
+    """q(x) for each entry of x, for the upper-form rows on x's coordinates."""
+    acc = np.zeros(len(x), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        acc ^= (x >> np.uint64(i)) & np.bitwise_count(x & np.uint64(row)) & 1
+    return acc
+
+
+def _q_words(s: QuadSpace) -> np.ndarray:
+    """Bitsliced q: bit l of word h is q(64 h + l); lanes past 2^dim are 0.
+
+    Split x = lo + hi into its low 6 and its high coordinates; then
+    q(lo + hi) = q(lo) + q(hi) + B(lo, hi).  q(lo) is one constant word,
+    q(hi) one parity lane over the high values, and B(lo, hi) the sum of
+    one linear-form word B(., e_j) per high coordinate j set in hi.
+    """
     if s.dim > MAX_SWEEP_DIM:
         raise ValueError(f"dimension {s.dim} exceeds sweep guard {MAX_SWEEP_DIM}")
-    n = 1 << s.dim
-    out = np.empty(n, dtype=bool)
-    for start in range(0, n, _SWEEP_CHUNK):
-        x = np.arange(start, min(start + _SWEEP_CHUNK, n), dtype=np.uint32)
-        acc = np.zeros(len(x), dtype=np.uint8)
-        for i in range(s.dim):
-            u = np.uint32(s.upper.bits[i])
-            par = (np.bitwise_count(x & u) & 1).astype(np.uint8)
-            acc ^= ((x >> np.uint32(i)) & 1).astype(np.uint8) & par
-        out[start:start + len(x)] = acc == 0
-    return out
+    low = min(s.dim, 6)
+    lanes = np.arange(1 << low, dtype=np.uint64)
+
+    def pack(bits: np.ndarray) -> np.uint64:
+        return np.bitwise_or.reduce(bits.astype(np.uint64) << lanes)
+
+    words = np.array([pack(_q_lanes(s.upper.bits[:low], lanes))])
+    for j in range(low, s.dim):
+        form = pack(np.bitwise_count(lanes & np.uint64(bilinear_image(s, 1 << j))) & 1)
+        words = np.concatenate([words, words ^ form])
+    high = np.arange(len(words), dtype=np.uint64)
+    return words ^ -_q_lanes([row >> low for row in s.upper.bits[low:]], high)
 
 
 def singular_count(s: QuadSpace, include_zero: bool = False) -> int:
     """Number of singular vectors by full sweep."""
-    total = int(_sweep_mask(s).sum())
+    total = (1 << s.dim) - int(np.bitwise_count(_q_words(s)).sum())
     return total if include_zero else total - 1
 
 
 def singular_vectors(s: QuadSpace) -> list[int]:
     """All nonzero x with q(x) = 0, lexicographic on coordinate tuples."""
-    mask = _sweep_mask(s)
-    vecs = [int(x) for x in np.nonzero(mask)[0] if x]
+    bits = np.unpackbits(_q_words(s).astype("<u8").view(np.uint8),
+                         bitorder="little")[:1 << s.dim]
+    vecs = [int(x) for x in np.flatnonzero(bits == 0)[1:]]
     vecs.sort(key=lambda v: vec_to_bits(v, s.dim))
     return vecs
 
@@ -156,41 +169,30 @@ def totally_singular_subspace(s: QuadSpace, k: int) -> list[int] | None:
         return []
     if k > s.dim // 2:
         return None
-    cands = singular_vectors(s)
-    brows = s.bilinear_rows()
-
-    def b_pair(x: int, y: int) -> int:
-        acc = 0
-        rem = x
-        while rem:
-            i = (rem & -rem).bit_length() - 1
-            acc ^= (brows[i] & y).bit_count()
-            rem &= rem - 1
-        return acc & 1
-
     chosen: list[int] = []
     span = {0}
 
-    def extend(start: int) -> bool:
+    def extend(cands: list[int]) -> bool:
+        # cands: the singular vectors after the last choice that are
+        # B-orthogonal to every choice
         if len(chosen) == k:
             return True
-        for idx in range(start, len(cands)):
-            v = cands[idx]
+        for idx, v in enumerate(cands):
             if v in span:
                 continue
-            if any(b_pair(b, v) for b in chosen):
-                continue
             # v new, singular, B-orthogonal: span stays totally singular
+            image = bilinear_image(s, v)
             added = [w ^ v for w in span]
             chosen.append(v)
             span.update(added)
-            if extend(idx + 1):
+            if extend([w for w in cands[idx + 1:]
+                       if not (image & w).bit_count() & 1]):
                 return True
             chosen.pop()
             span.difference_update(added)
         return False
 
-    if not extend(0):
+    if not extend(singular_vectors(s)):
         return None
     for w in span:
         assert eval_q(s, w) == 0, "witness span contains a non-singular vector"
@@ -216,34 +218,35 @@ def transport(s: QuadSpace, t: F2Matrix) -> QuadSpace:
 def isometry_counts(s: QuadSpace) -> tuple[int, int]:
     """(order of the full isometry group, order of the Dickson kernel).
 
-    Brute force over all dim x dim matrices; usable at dim <= 4 only.
-    A matrix preserves q iff it preserves q on a basis and B on basis
-    pairs.  The Dickson invariant of g is rank(g + I) mod 2.
+    Backtracking over the images c_j of the basis vectors e_j, usable at
+    dim <= 4 only: q(sum x_j c_j) equals q(sum x_j e_j) for every x iff
+    q(c_j) = q(e_j) and B(c_i, c_j) = B(e_i, e_j), so each c_j is chosen
+    to keep these against the images already chosen, and each complete
+    choice that is invertible is an isometry.  The Dickson invariant of
+    g is rank(g + I) mod 2.
     """
     n = s.dim
     if n > 4:
-        raise ValueError("brute-force isometry sweep is limited to dim <= 4")
-    basis_q = [eval_q(s, 1 << j) for j in range(n)]
-    basis_b = {(i, j): eval_b(s, 1 << i, 1 << j)
-               for i in range(n) for j in range(i + 1, n)}
+        raise ValueError("isometry search is limited to dim <= 4")
     ident = F2Matrix.identity(n)
-    mask = (1 << n) - 1
-    full = 0
-    kernel = 0
-    for code in range(1 << (n * n)):
-        rows = tuple((code >> (n * i)) & mask for i in range(n))
-        t = F2Matrix(n, n, rows)
-        if rank(t) != n:
-            continue
-        cols = [t.mul_vec(1 << j) for j in range(n)]
-        if any(eval_q(s, cols[j]) != basis_q[j] for j in range(n)):
-            continue
-        if any(eval_b(s, cols[i], cols[j]) != basis_b[i, j]
-               for i in range(n) for j in range(i + 1, n)):
-            continue
-        full += 1
-        if rank(t.add(ident)) % 2 == 0:
-            kernel += 1
+    full = kernel = 0
+
+    def extend(images: tuple[int, ...]) -> None:
+        nonlocal full, kernel
+        j = len(images)
+        if j == n:
+            t = F2Matrix(n, n, images)  # g transposed: same rank, same Dickson
+            if rank(t) == n:
+                full += 1
+                kernel += rank(t.add(ident)) % 2 == 0
+            return
+        for c in range(1, 1 << n):
+            if eval_q(s, c) == eval_q(s, 1 << j) and all(
+                    eval_b(s, images[i], c) == eval_b(s, 1 << i, 1 << j)
+                    for i in range(j)):
+                extend(images + (c,))
+
+    extend(())
     return full, kernel
 
 

@@ -2,8 +2,8 @@
 
 Orders are kept in fully factored form (prime -> exponent) and only
 converted to plain integers for display or cross-checks.  The classical
-orthogonal-group formula is anchored at small rank by the brute-force
-isometry sweep in f2quad.isometry_counts.
+orthogonal-group formula is anchored at small rank by the backtracking
+isometry search in f2quad.isometry_counts.
 """
 
 from __future__ import annotations

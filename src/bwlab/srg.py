@@ -90,15 +90,11 @@ def perp_graph(s: f2quad.QuadSpace) -> Graph:
     """Vertices: nonzero singular vectors (lex order); edges: B(x,y) = 0."""
     if s.dim > MAX_PERP_DIM:
         raise ValueError(f"dimension {s.dim} exceeds graph guard {MAX_PERP_DIM}")
-    verts = f2quad.singular_vectors(s)
+    verts = np.array(f2quad.singular_vectors(s), dtype=np.uint64)
     n = len(verts)
-    vmat = np.array([[(x >> i) & 1 for i in range(s.dim)] for x in verts],
-                    dtype=np.uint8)
-    brows = s.bilinear_rows()
-    bmat = np.array([[(brows[i] >> j) & 1 for j in range(s.dim)]
-                     for i in range(s.dim)], dtype=np.uint8)
-    pair = (vmat.astype(np.int64) @ bmat.astype(np.int64) @
-            vmat.T.astype(np.int64)) & 1
+    images = np.array([f2quad.bilinear_image(s, int(x)) for x in verts],
+                      dtype=np.uint64)
+    pair = np.bitwise_count(images[:, None] & verts) & 1
     adj = (pair == 0) & ~np.eye(n, dtype=bool)
     return Graph(n, adj)
 
@@ -152,7 +148,8 @@ def srg_params(g: Graph):
     if not _is_connected(g):
         return NotStronglyRegular("not connected")
     a = g.adjacency
-    common = a.astype(np.int32) @ a.astype(np.int32)
+    # exact: every partial sum is an integer of at most n < 2^53
+    common = (a.astype(np.float64) @ a.astype(np.float64)).astype(np.int64)
     iu, ju = np.triu_indices(n, 1)
     adj_mask = a[iu, ju]
     if not adj_mask.any():

@@ -31,8 +31,10 @@ class MatrixGroup:
     dim: int
 
     def __post_init__(self):
+        seq = (tuple, list)
         for g in self.generators:
-            if len(g) != self.dim or any(len(r) != self.dim for r in g):
+            if not (isinstance(g, seq) and len(g) == self.dim and all(
+                    isinstance(r, seq) and len(r) == self.dim for r in g)):
                 raise ValueError("generator shape mismatch")
         for g in self.generators:
             if DomainMatrix.from_list(g, ZZ).det() == 0:

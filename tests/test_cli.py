@@ -109,9 +109,11 @@ def test_srg_perp_h2_with_edge_file(tmp_path, capsys):
 
 
 def test_srg_perp_rejects_degenerate_space(capsys):
-    code, stdout, _ = _run(capsys, "srg", "perp", "--space", "h1")
-    assert code == 1
-    assert stdout.startswith("not strongly regular")
+    # h1 has two singular vectors, e1 none
+    for space in ("h1", "e1"):
+        code, stdout, _ = _run(capsys, "srg", "perp", "--space", space)
+        assert code == 1
+        assert stdout.startswith("not strongly regular")
 
 
 def test_srg_feasible_scan(capsys):

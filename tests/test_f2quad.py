@@ -74,6 +74,21 @@ def test_singular_vectors_are_the_singular_ones():
     assert sorted(vecs) == sorted(brute)
 
 
+def test_singular_vectors_match_brute_force_on_random_forms():
+    # dims below, at and above one 64-lane word; many forms are degenerate
+    rng = random.Random(37)
+    for dim in (2, 4, 6, 8, 12):
+        forms = [_random_upper(rng, dim) for _ in range(4)]
+        forms.append(fq.QuadSpace(dim, fl.F2Matrix(dim, dim, (0,) * dim)))
+        forms.append(fq.QuadSpace(dim, fl.F2Matrix.identity(dim)))
+        for s in forms:
+            brute = [x for x in range(1, 2 ** dim) if fq.eval_q(s, x) == 0]
+            vecs = fq.singular_vectors(s)
+            assert vecs == sorted(brute, key=lambda v: fl.vec_to_bits(v, dim))
+            assert fq.singular_count(s) == len(brute)
+            assert fq.singular_count(s, include_zero=True) == len(brute) + 1
+
+
 def test_degenerate_form_rejected():
     zero = fq.QuadSpace(2, fl.F2Matrix(2, 2, (0, 0)))
     assert not fq.is_nondegenerate(zero)
@@ -159,6 +174,29 @@ def test_isometry_group_orders_dim_2_and_4():
     assert fq.isometry_counts(fq.elliptic(1)) == (6, 3)
     assert fq.isometry_counts(fq.hyperbolic(2)) == (72, 36)
     assert fq.isometry_counts(fq.elliptic(2)) == (120, 60)
+
+
+def _isometry_counts_brute(s):
+    # every dim x dim matrix; an isometry is invertible and keeps q everywhere
+    n = s.dim
+    ident = fl.F2Matrix.identity(n)
+    full = kernel = 0
+    for code in range(1 << (n * n)):
+        g = fl.F2Matrix(n, n, tuple((code >> (n * i)) & ((1 << n) - 1)
+                                    for i in range(n)))
+        if all(fq.eval_q(s, g.mul_vec(x)) == fq.eval_q(s, x)
+               for x in range(1 << n)) and fl.rank(g) == n:
+            full += 1
+            kernel += fl.rank(g.add(ident)) % 2 == 0
+    return full, kernel
+
+
+def test_isometry_counts_match_brute_force():
+    rng = random.Random(38)
+    dim2 = [fq.QuadSpace(2, fl.F2Matrix(2, 2, (a | b << 1, c << 1)))
+            for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    for s in dim2 + [_random_upper(rng, 4) for _ in range(3)]:
+        assert fq.isometry_counts(s) == _isometry_counts_brute(s)
 
 
 def test_isometry_guard():

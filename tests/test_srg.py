@@ -79,6 +79,15 @@ def test_perp_graph_has_singular_vertices_in_sorted_order():
     assert g.edge_count == 9 * 4 // 2
 
 
+def test_perp_graph_adjacency_is_bilinear_orthogonality():
+    for s in (f2quad.hyperbolic(3), f2quad.elliptic(3)):
+        verts = f2quad.singular_vectors(s)
+        a = srg.perp_graph(s).adjacency
+        for i, x in enumerate(verts):
+            for j, y in enumerate(verts):
+                assert a[i, j] == (i != j and f2quad.eval_b(s, x, y) == 0)
+
+
 def test_perp_graph_dimension_guard():
     with pytest.raises(ValueError):
         srg.perp_graph(f2quad.hyperbolic(7))

@@ -84,6 +84,14 @@ def test_matrix_group_rejects_singular_generator():
         xrep.MatrixGroup((near,), 2)
 
 
+def test_matrix_group_rejects_flat_generator():
+    # one matrix passed where the tuple of generators belongs
+    with pytest.raises(ValueError, match="shape"):
+        xrep.MatrixGroup(((0, 1), (1, 0)), 2)
+    with pytest.raises(ValueError, match="shape"):
+        xrep.MatrixGroup((((0, 1), (1,)),), 2)
+
+
 def test_char_norm_counts_trace_squares():
     # dihedral-of-8 closure: traces are (+-2, 0 x 6); sum 8 over order 8
     elements = xrep.closure(xrep.extraspecial_plus(1))
