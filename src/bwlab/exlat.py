@@ -322,6 +322,8 @@ def lll_reduce(b: ScaledBasis) -> ScaledBasis:
 
 def _norm_target(b: ScaledBasis, n) -> int | None:
     """Integer t with {v : <v,v> = n} = {x : |x . mat|^2 = t}, or None."""
+    if isinstance(n, float):
+        raise TypeError("norm must be an exact int/Fraction, not float")
     n = Fraction(n)
     if n <= 0:
         raise ValueError("norm must be positive")
@@ -332,7 +334,8 @@ def _norm_target(b: ScaledBasis, n) -> int | None:
 
 
 def _expand_stage(L: np.ndarray, i: int, X, C, PN, FREE, r2: float):
-    """One layer of the search tree, vectorized over all live prefixes."""
+    """One tree layer, vectorized over all live prefixes and live columns:
+    X holds the set coordinates i+1..r-1, C the centre terms of 0..i."""
     ell = L[i, i]
     c = C[:, i]
     rem = np.maximum(r2 - PN, 0.0)
@@ -347,13 +350,13 @@ def _expand_stage(L: np.ndarray, i: int, X, C, PN, FREE, r2: float):
     idx = np.repeat(np.arange(len(cnt)), cnt)
     starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
     t = lo[idx] + (np.arange(total) - starts[idx])
-    newX = X[idx]
-    newX[:, i] = t
+    newX = np.empty((total, X.shape[1] + 1), dtype=np.int64)
+    newX[:, 0] = t
+    newX[:, 1:] = X[idx]
     comp = c[idx] + t * ell
     newPN = PN[idx] + comp * comp
-    newC = C[idx]
-    if i > 0:
-        newC[:, :i] += t[:, None] * L[i, :i]
+    newC = C[idx, :i]
+    newC += t[:, None] * L[i, :i]
     newFREE = FREE[idx] & (t == 0)
     return newX, newC, newPN, newFREE
 
@@ -367,8 +370,9 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
     T + ENUM_MARGIN, so a vector of norm t <= T passes every pruning test
     with at least the slack of a norm-T vector; each leaf's norm is then
     confirmed in int64.  The root is free (the leading nonzero coordinate
-    is positive), so each leaf stands for the pair {v, -v}.  Stages are
-    split into chunks to bound memory.
+    is positive), so each leaf stands for the pair {v, -v}.  Stages carry
+    only live columns, are split into chunks to bound memory, and the
+    leaves rebuild V = X . mat.
     """
     red = lll_reduce(b)
     M = np.array(red.mat, dtype=np.int64)
@@ -381,7 +385,7 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
     r2 = float(T) + ENUM_MARGIN
     hist: dict[int, int] = {}
     found = []
-    stack = [(r, np.zeros((1, r), dtype=np.int64), np.zeros((1, r)),
+    stack = [(r, np.zeros((1, 0), dtype=np.int64), np.zeros((1, r)),
               np.zeros(1), np.ones(1, dtype=bool))]
     while stack:
         i, X, C, PN, FREE = stack.pop()
@@ -429,8 +433,6 @@ def enumerate_norm(b: ScaledBasis, n, mode: str = "count",
     thread; threads is accepted for compatibility and ignored.
     """
     del threads
-    if isinstance(n, float):
-        raise TypeError("norm must be an exact int/Fraction, not float")
     if mode not in ("count", "collect"):
         raise ValueError("mode must be 'count' or 'collect'")
     bb = hnf_basis(b)
@@ -464,23 +466,23 @@ def shell_counts(b: ScaledBasis, max_norm) -> dict[Fraction, int]:
 def generated_by_norm_vectors(b: ScaledBasis, n, threads: int | None = None) -> bool:
     """True iff the vectors of norm n span the whole lattice.
 
-    The collect-mode search runs in one thread; threads is ignored.
+    Witness first: norm-n rows of lll_reduce(b) whose HNF is the lattice's
+    prove it with no search.  Otherwise an uncached one-thread search
+    collects the norm-n vectors into an HNF; threads is ignored.
     """
     target = hnf_basis(b)
+    T = _norm_target(target, n)
+    want = [list(r) for r in target.mat]
+    red = lll_reduce(target).mat
+    acc = [list(r) for r in red if sum(x * x for x in r) == T]
+    if hnf_int_rows(acc) == want:
+        return True
     vecs = enumerate_norm(target, n, mode="collect")
-    if len(vecs) == 0:
-        return False
-    acc: list[list[int]] = []
-    want_rank = len(target.mat)
     for start in range(0, len(vecs), 512):
-        batch = [[int(x) for x in row] for row in vecs[start:start + 512]]
-        acc = hnf_int_rows(acc + batch)
-        if len(acc) == want_rank:
-            sub = ScaledBasis.from_rows(acc, target.den, target.frame_scale)
-            if lattice_equal(sub, target):
-                return True
-    sub = ScaledBasis.from_rows(acc, target.den, target.frame_scale)
-    return lattice_equal(sub, target)
+        acc = hnf_int_rows(acc + vecs[start:start + 512].tolist())
+        if acc == want:
+            return True
+    return False
 
 
 def minimum_norm(b: ScaledBasis, search_limit: int = 64) -> Fraction:

@@ -161,13 +161,17 @@ def totally_singular_subspace(s: QuadSpace, k: int) -> list[int] | None:
     """Basis of a k-dimensional subspace with q identically zero, or None.
 
     Greedy lex-ascending extension with backtracking; every element of
-    the found span is re-checked singular before returning.
+    the found span is re-checked singular before returning.  On a
+    nondegenerate form k past the Witt index (m for plus, m - 1 for
+    minus) returns None without a search.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
         return []
     if k > s.dim // 2:
+        return None
+    if is_nondegenerate(s) and k > s.dim // 2 - (arf_type(s) == "minus"):
         return None
     chosen: list[int] = []
     span = {0}

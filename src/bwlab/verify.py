@@ -10,10 +10,11 @@ flag so the fast sweep stays in CI territory.
 
 Every lattice fact comes from one single-threaded tree search per
 lattice and radius, whose norm histogram is cached, so the rank-32
-kissing number, minimum and similarity profile share one norm-4 search.
-On a 2-core x86 machine the fast sweep takes 2 to 3 s and the full
-sweep about 23 s, most of it the rank-32 norm-4 searches; the GF(2)
-checks take about 20 ms of the fast sweep, 12 ms of it the O+(4,2)
+kissing number, minimum and similarity profile share one norm-4 search;
+generation by the norm-4 vectors is proved by the LLL basis rows with
+no search.  On a 2-core x86 machine the fast sweep takes 1.5 to 2 s
+and the full sweep about 10 s, most of it the rank-32 searches; the
+GF(2) checks take about 20 ms of the fast sweep, 12 ms of it the O+(4,2)
 isometry count.  The exact linear algebra (duals, quotients,
 determinants) is fraction-free DomainMatrix arithmetic and takes about
 0.1 s of the fast sweep.
@@ -129,6 +130,7 @@ def _lattice_checks() -> list[Check]:
         Check("lattice.bw32-kissing", "2.1", "146880", kiss32, slow=True),
         Check("lattice.bw32-min", "1.1", "4",
               lambda: exlat.minimum_norm(bw.bw32()), slow=True),
+        # ~1 ms by the LLL witness; slow so the fast sweep keeps 52 checks
         Check("lattice.bw32-norm4-generates", "1.1", "True",
               lambda: exlat.generated_by_norm_vectors(bw.bw32(), 4),
               slow=True),

@@ -17,12 +17,14 @@ from bwlab.exlat import ScaledBasis
 MAX_BOX = 2_000_000
 
 
-def box_norm_count(b: ScaledBasis, n) -> int:
-    """Count lattice vectors of exact norm n by enumerating a box.
+def box_norm_vectors(b: ScaledBasis, n) -> list[tuple[int, ...]]:
+    """All lattice vectors of exact norm n, found by enumerating a box.
 
     The box radius comes from the smallest Gram eigenvalue: any x with
     x G x^T <= N satisfies |x_i| <= sqrt(N / lambda_min).  Uses numpy
     eigvalsh plus exact integer norms, nothing from the package kernel.
+    Rows are integer coordinates in the ambient frame scaled by b.den,
+    sorted lexicographically.
     """
     n = Fraction(n)
     M = np.array(b.mat, dtype=np.int64)
@@ -42,8 +44,13 @@ def box_norm_count(b: ScaledBasis, n) -> int:
     # norm n <=> frame * S / den^2 == n, compared in exact integers
     target = n * b.den * b.den / b.frame_scale
     if target.denominator != 1:
-        return 0
-    return int(np.count_nonzero(S == int(target))) - (1 if n == 0 else 0)
+        return []
+    return sorted(tuple(int(x) for x in row) for row in V[S == int(target)])
+
+
+def box_norm_count(b: ScaledBasis, n) -> int:
+    """Number of lattice vectors of exact norm n, by box_norm_vectors."""
+    return len(box_norm_vectors(b, n)) - (1 if n == 0 else 0)
 
 
 def random_small_basis(rng, max_rank: int = 6) -> ScaledBasis:

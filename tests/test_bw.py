@@ -1,7 +1,7 @@
 """The rank-16 and rank-32 constructions and the index-2^16 tower step.
 
-Rank-32 norm-4 work is marked slow; everything else stays under a few
-seconds.
+Rank-32 tree searches are marked slow; everything else stays under a
+few seconds.
 """
 
 from fractions import Fraction
@@ -109,8 +109,8 @@ def test_bw32_minimum():
     assert exlat.minimum_norm(bw.bw32()) == 4
 
 
-@pytest.mark.slow
 def test_bw32_generated_by_minimal_vectors():
+    # the norm-4 LLL rows are the witness, so no rank-32 search runs
     assert exlat.generated_by_norm_vectors(bw.bw32(), 4)
 
 

@@ -92,6 +92,10 @@ def test_quad_tss_found_and_absent(capsys):
     code, stdout, _ = _run(capsys, "quad", "tss", "--space", "h2", "--k", "3")
     assert code == 0
     assert stdout.strip() == "none"
+    # past the Witt index of a minus-type space: no search
+    code, stdout, _ = _run(capsys, "quad", "tss", "--space", "e5", "--k", "5")
+    assert code == 0
+    assert stdout.strip() == "none"
 
 
 def test_srg_perp_h2_with_edge_file(tmp_path, capsys):

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form
 
 from bwlab import bw, exlat
 from bwlab.exlat import ContainmentError, ScaledBasis
@@ -270,6 +272,26 @@ def test_enumerate_matches_box_oracle():
             assert exlat.minimum_norm(b) > 3 * step
 
 
+def _canonical_den(b):
+    """Denominator of hnf_basis(b): b.den over its gcd with every entry."""
+    return b.den // math.gcd(b.den, *(x for r in b.mat for x in r))
+
+
+def test_collect_mode_rows_match_box_oracle():
+    # the vectors themselves, not only their number
+    rng = random.Random(27)
+    for _ in range(25):
+        b = _oracles.random_small_basis(rng)
+        step = b.frame_scale / (b.den * b.den)
+        # the oracle works in units of 1/b.den, collect mode in units of
+        # 1/den of the canonical basis, and that den divides b.den
+        k = b.den // _canonical_den(b)
+        for mult in (1, 2, 3, 5):
+            rows = exlat.enumerate_norm(b, step * mult, mode="collect")
+            got = [tuple(k * int(x) for x in r) for r in rows]
+            assert got == _oracles.box_norm_vectors(b, step * mult)
+
+
 def test_collect_mode_rows_are_exact_and_sorted():
     e8 = _e8()
     rows = exlat.enumerate_norm(e8, 2, mode="collect")
@@ -319,6 +341,43 @@ def test_generated_by_norm_vectors_z2():
     assert exlat.generated_by_norm_vectors(_zn(2), 1)
     # norm-2 vectors (+-1, +-1) span only the checkerboard sublattice
     assert not exlat.generated_by_norm_vectors(_zn(2), 2)
+
+
+def test_generated_by_norm_vectors_falls_back_to_the_search():
+    # the LLL rows of Z^2 have norm 1, so no norm-5 witness exists; the
+    # search finds (1, 2) and (2, -1), which generate Z^2
+    z2 = _zn(2)
+    assert all(sum(x * x for x in r) == 1 for r in exlat.lll_reduce(z2).mat)
+    assert exlat.generated_by_norm_vectors(z2, 5)
+
+
+def _generates(b, rows) -> bool:
+    """Do rows (units of 1/canonical den) generate b?  Covolume by HNF."""
+    if len(rows) == 0:
+        return False
+    rank = len(b.mat)
+    H = hermite_normal_form(Matrix([[int(x) for x in r] for r in rows]).T)
+    if H.shape[1] != rank:
+        return False
+    den = _canonical_den(b)
+    M = Matrix(b.mat)
+    return (H.T * H).det() * b.den ** (2 * rank) \
+        == (M * M.T).det() * den ** (2 * rank)
+
+
+def test_generated_by_norm_vectors_matches_hnf_oracle():
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(30):
+        b = _oracles.random_small_basis(rng)
+        step = b.frame_scale / (b.den * b.den)
+        for mult in (1, 2, 3, 4, 5):
+            n = step * mult
+            rows = exlat.enumerate_norm(b, n, mode="collect")
+            want = _generates(b, rows)
+            assert exlat.generated_by_norm_vectors(b, n) == want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_minimum_norm_values_and_failure():

@@ -1,6 +1,7 @@
 """Quadratic spaces over GF(2): counts, Arf type, transports, isometries."""
 
 import random
+import time
 
 import pytest
 
@@ -125,8 +126,27 @@ def test_totally_singular_subspaces_of_hyperbolic():
 def test_elliptic_witt_index_is_m_minus_1():
     s = fq.elliptic(3)
     assert fq.totally_singular_subspace(s, 2) is not None
-    # k = 3 passes the dimension bound but must fail by exhaustion
+    # k = 3 passes the dimension bound; the Witt index rules it out
     assert fq.totally_singular_subspace(s, 3) is None
+
+
+def test_subspace_past_witt_index_returns_at_once():
+    # an ordered-basis search for these takes seconds to minutes
+    start = time.perf_counter()
+    assert fq.totally_singular_subspace(fq.elliptic(5), 5) is None
+    assert fq.totally_singular_subspace(fq.elliptic(4), 4) is None
+    assert time.perf_counter() - start < 1.0
+    basis = fq.totally_singular_subspace(fq.hyperbolic(5), 5)
+    assert basis is not None and len(basis) == 5
+
+
+def test_degenerate_form_keeps_the_search():
+    # arf_type rejects a degenerate form, so no Witt bound applies here;
+    # q = x1 x2 on F2^4 has radical <e3, e4>
+    s = fq.QuadSpace(4, fl.F2Matrix(4, 4, (0b10, 0, 0, 0)))
+    assert not fq.is_nondegenerate(s)
+    basis = fq.totally_singular_subspace(s, 2)
+    assert basis is not None and len(basis) == 2
 
 
 def test_transport_preserves_invariants():
