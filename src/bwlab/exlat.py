@@ -65,13 +65,6 @@ class ScaledBasis:
     def ambient_dim(self) -> int:
         return len(self.mat[0])
 
-    @property
-    def rank(self) -> int:
-        return len(hnf_basis(self).mat)
-
-    def vectors(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(Fraction(x, self.den) for x in row) for row in self.mat]
-
 
 @dataclass(frozen=True)
 class GramMatrix:

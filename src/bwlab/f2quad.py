@@ -264,7 +264,13 @@ def write_form(s: QuadSpace, path) -> None:
 
 
 def read_form(path) -> QuadSpace:
+    """Inverse of write_form: exactly dim rows of dim entries, each 0 or 1."""
     with open(path) as fh:
         dim = int(fh.readline().strip())
-        rows = [[int(t) for t in fh.readline().split()] for _ in range(dim)]
-    return QuadSpace(dim, F2Matrix.from_rows(rows, dim))
+        rows = [line.split() for line in fh if line.strip()]
+    if len(rows) != dim or any(len(r) != dim for r in rows):
+        raise ValueError(f"form file needs {dim} rows of {dim} entries")
+    if any(t not in ("0", "1") for r in rows for t in r):
+        raise ValueError("form file entries must be 0 or 1")
+    bits = [[int(t) for t in r] for r in rows]
+    return QuadSpace(dim, F2Matrix.from_rows(bits, dim))

@@ -48,10 +48,6 @@ class FactoredInteger:
         return FactoredInteger._trusted(
             tuple(sorted((int(p), int(e)) for p, e in fac.items())))
 
-    @staticmethod
-    def from_dict(d: dict) -> "FactoredInteger":
-        return FactoredInteger(tuple(sorted((int(p), int(e)) for p, e in d.items() if e)))
-
     @property
     def value(self) -> int:
         n = 1

@@ -4,15 +4,15 @@ A QSeries holds integer coefficients for exponents offset/3, offset/3+1,
 offset/3+2, ... — the only fractional exponents needed are thirds, so
 the offset is an integer count of thirds and successive terms step by a
 full power of q.  All arithmetic is exact; truncation lengths shrink to
-whatever both operands support.
+whatever both operands support.  Every integer power, negative and zero
+included, comes from one recurrence, J. C. P. Miller's formula for the
+powers of a power series (Knuth, TAOCP Vol. 2, 4.7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-DEFAULT_TERMS = 12
 
 
 @dataclass(frozen=True)
@@ -24,17 +24,12 @@ class QSeries:
         if not self.coeffs:
             raise ValueError("need at least one coefficient")
 
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs)
-
     def exponent(self, i: int) -> Fraction:
         return Fraction(self.offset_thirds + 3 * i, 3)
 
-    def coefficient(self, exponent) -> int:
-        """Coefficient of q^exponent; raises if outside the stored window."""
-        e = Fraction(exponent)
-        thirds = e * 3
+    def _index(self, exponent) -> int:
+        """Position of q^exponent in coeffs; raises if not stored."""
+        thirds = Fraction(exponent) * 3
         if thirds.denominator != 1:
             raise ValueError("exponent must be a multiple of 1/3")
         i, rem = divmod(int(thirds) - self.offset_thirds, 3)
@@ -42,7 +37,11 @@ class QSeries:
             raise ValueError("exponent not on the series' lattice of thirds")
         if not 0 <= i < len(self.coeffs):
             raise ValueError("exponent outside the stored truncation window")
-        return self.coeffs[i]
+        return i
+
+    def coefficient(self, exponent) -> int:
+        """Coefficient of q^exponent; raises if outside the stored window."""
+        return self.coeffs[self._index(exponent)]
 
     def terms(self) -> list[tuple[Fraction, int]]:
         return [(self.exponent(i), c) for i, c in enumerate(self.coeffs)]
@@ -57,56 +56,37 @@ class QSeries:
                 out[i + j] += a * b
         return QSeries(self.offset_thirds + other.offset_thirds, tuple(out))
 
-    def add(self, other: "QSeries") -> "QSeries":
-        if (self.offset_thirds - other.offset_thirds) % 3:
-            raise ValueError("offsets differ by a non-integer exponent")
-        start = min(self.offset_thirds, other.offset_thirds)
-        end = min(self.offset_thirds + 3 * len(self.coeffs),
-                  other.offset_thirds + 3 * len(other.coeffs))
-        n = (end - start) // 3
-        if n <= 0:
-            raise ValueError("truncation windows do not overlap")
-        out = [0] * n
-        for i in range(n):
-            e = start + 3 * i
-            ia = (e - self.offset_thirds) // 3
-            ib = (e - other.offset_thirds) // 3
-            if 0 <= ia < len(self.coeffs):
-                out[i] += self.coeffs[ia]
-            if 0 <= ib < len(other.coeffs):
-                out[i] += other.coeffs[ib]
-        return QSeries(start, tuple(out))
-
-    def scaled(self, c: int) -> "QSeries":
-        return QSeries(self.offset_thirds, tuple(c * a for a in self.coeffs))
-
     def add_scalar(self, c: int) -> "QSeries":
-        return self.add(QSeries(0, (c,) + (0,) * (len(self.coeffs) - 1)))
+        """self + c; q^0 must lie in the stored window."""
+        out = list(self.coeffs)
+        out[self._index(0)] += c
+        return QSeries(self.offset_thirds, tuple(out))
 
     def power(self, e: int) -> "QSeries":
-        if e < 1:
-            raise ValueError("power expects a positive exponent")
-        out = self
-        for _ in range(e - 1):
-            out = out.mul(self)
-        return out
+        """self**e for any integer e, to the same truncation.
 
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse; leading coefficient must be a unit."""
-        lead = self.coeffs[0]
-        if lead not in (1, -1):
-            raise ValueError("leading coefficient must be +-1 for an exact inverse")
-        n = len(self.coeffs)
-        inv = [lead] + [0] * (n - 1)
-        for i in range(1, n):
+        With a_k the coefficients and g_m those of the power, Miller's
+        recurrence m a_0 g_m = sum_{k=1..m} ((e+1)k - m) a_k g_{m-k} starts
+        from g_0 = a_0^|e|.  The powers are integral, so each division is
+        exact: e < 0 needs a leading coefficient of +-1 (then a_0^e equals
+        a_0^|e|), e >= 0 a nonzero one.
+        """
+        a0 = self.coeffs[0]
+        if a0 == 0 or (e < 0 and a0 not in (1, -1)):
+            raise ValueError(
+                "power needs a nonzero leading coefficient, +-1 for e < 0")
+        live = [(k, a) for k, a in enumerate(self.coeffs) if k and a]
+        g = [a0 ** abs(e)]
+        for m in range(1, len(self.coeffs)):
             acc = 0
-            for j in range(1, i + 1):
-                acc += self.coeffs[j] * inv[i - j]
-            inv[i] = -lead * acc
-        return QSeries(-self.offset_thirds, tuple(inv))
-
-    def div(self, other: "QSeries") -> "QSeries":
-        return self.mul(other.inverse())
+            for k, a in live:
+                if k > m:
+                    break
+                acc += ((e + 1) * k - m) * a * g[m - k]
+            q, r = divmod(acc, m * a0)
+            assert r == 0, "inexact step in the power recurrence"
+            g.append(q)
+        return QSeries(e * self.offset_thirds, tuple(g))
 
 
 def euler_product(n: int, exponent: int = 1) -> QSeries:
@@ -118,12 +98,7 @@ def euler_product(n: int, exponent: int = 1) -> QSeries:
     for k in range(1, n):
         for i in range(n - 1 - k, -1, -1):
             coeffs[i + k] -= coeffs[i]
-    base = QSeries(0, tuple(coeffs))
-    if exponent == 1:
-        return base
-    if exponent >= 2:
-        return base.power(exponent)
-    return base.inverse().power(-exponent) if exponent < -1 else base.inverse()
+    return QSeries(0, tuple(coeffs)).power(exponent)
 
 
 def _sigma3(k: int) -> int:
@@ -144,7 +119,7 @@ def delta(n: int) -> QSeries:
 
 def j_series(n: int) -> QSeries:
     """j = E4^3 / Delta, n exact terms from q^{-1}."""
-    return eisenstein4(n).power(3).div(delta(n))
+    return eisenstein4(n).power(3).mul(delta(n).power(-1))
 
 
 def _certified_root_and_j(n: int) -> tuple[QSeries, QSeries]:

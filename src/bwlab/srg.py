@@ -55,10 +55,6 @@ class SrgParams:
     f: int
     g: int
 
-    def as_dict(self) -> dict:
-        return {"v": self.v, "k": self.k, "lambda": self.lam, "mu": self.mu,
-                "r": self.r, "s": self.s, "f": self.f, "g": self.g}
-
 
 @dataclass(frozen=True)
 class NotStronglyRegular:

@@ -182,3 +182,13 @@ def test_runtime_errors_exit_2(argv, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("body", ["2\n0 1\n0 0 1\n", "2\n0 2\n0 0\n"],
+                         ids=["long-row", "entry-2"])
+def test_malformed_form_file_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "bad.f2q"
+    path.write_text(body)
+    code, _, err = _run(capsys, "quad", "singular-count", "--file", str(path))
+    assert code == 2
+    assert err.startswith("error:")

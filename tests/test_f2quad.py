@@ -235,3 +235,19 @@ def test_form_file_roundtrip(tmp_path):
     path = tmp_path / "form.f2q"
     fq.write_form(s, path)
     assert fq.read_form(path) == s
+
+
+@pytest.mark.parametrize("body", [
+    "2\n0 1\n",
+    "2\n0 1\n0\n",
+    "2\n0 1\n0 0 0\n",
+    "2\n0 1\n0 0\n1 0\n",
+    "2\n0 2\n0 0\n",
+    "2\n0 x\n0 0\n",
+], ids=["missing-row", "short-row", "long-row", "extra-row", "entry-2",
+        "entry-x"])
+def test_read_form_rejects_malformed_files(tmp_path, body):
+    path = tmp_path / "bad.f2q"
+    path.write_text(body)
+    with pytest.raises(ValueError):
+        fq.read_form(path)

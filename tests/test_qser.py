@@ -1,5 +1,6 @@
 """Exact q-expansions, cross-checked by an independent Newton oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,8 +25,14 @@ def test_delta_is_the_ramanujan_tau_series():
 
 
 def test_euler_product_inverse_counts_partitions():
-    inv = qser.euler_product(12).inverse()
+    inv = qser.euler_product(12, -1)
     assert inv.coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56)
+
+
+def test_euler_product_to_the_zero_is_one():
+    one = qser.euler_product(6, 0)
+    assert one.offset_thirds == 0
+    assert one.coeffs == (1, 0, 0, 0, 0, 0)
 
 
 def test_j_series_classical_values():
@@ -40,8 +47,8 @@ def test_cube_root_j_coefficients():
     assert c.coeffs[:4] == (1, 248, 4124, 34752)
 
 
-def test_cube_root_matches_newton_oracle():
-    n = 12
+@pytest.mark.parametrize("n", [12, 40])
+def test_cube_root_matches_newton_oracle(n):
     c = qser.cube_root_j(n)
     # j * q as an offset-free rational series with constant term 1
     y = [Fraction(x) for x in qser.j_series(n).coeffs]
@@ -75,7 +82,7 @@ def test_t1_series_values():
 def test_t1_divided_by_cube_root_recovers_j_shift():
     n = 10
     t1 = qser.t1_series(n)
-    back = t1.div(qser.cube_root_j(n)).add_scalar(992)
+    back = t1.mul(qser.cube_root_j(n).power(-1)).add_scalar(992)
     j = qser.j_series(n)
     assert back.offset_thirds == j.offset_thirds
     assert back.coeffs == j.coeffs[:len(back.coeffs)]
@@ -86,24 +93,21 @@ def test_mul_add_and_scalars():
     b = QSeries(3, (5, 6))
     assert a.mul(b).coeffs == (5, 16)
     assert a.mul(b).offset_thirds == 3
-    assert a.add(b).coeffs == (1, 7, 9)
-    assert a.scaled(-2).coeffs == (-2, -4, -6)
     assert a.add_scalar(10).coeffs == (11, 2, 3)
-
-
-def test_add_requires_aligned_offsets():
+    # q^0 sits at index 1 of a series starting at q^-1
+    assert QSeries(-3, (1, 2, 3)).add_scalar(-2).coeffs == (1, 0, 3)
     with pytest.raises(ValueError):
-        QSeries(0, (1,)).add(QSeries(1, (1,)))
-    # far-away addend contributes nothing inside the shared window
-    far = QSeries(0, (1, 2)).add(QSeries(30, (1, 2)))
-    assert far.offset_thirds == 0
-    assert far.coeffs == (1, 2)
+        b.add_scalar(1)  # q^0 below the stored window
+    with pytest.raises(ValueError):
+        QSeries(-3, (1,)).add_scalar(1)  # q^0 above it
+    with pytest.raises(ValueError):
+        QSeries(1, (1, 2)).add_scalar(1)  # q^0 not on the lattice of thirds
 
 
 def test_inverse_needs_unit_leading_coefficient():
     with pytest.raises(ValueError):
-        QSeries(0, (2, 1)).inverse()
-    inv = QSeries(-3, (-1, 4)).inverse()
+        QSeries(0, (2, 1)).power(-1)
+    inv = QSeries(-3, (-1, 4)).power(-1)
     assert inv.offset_thirds == 3
     assert QSeries(-3, (-1, 4)).mul(inv).coeffs == (1, 0)
 
@@ -111,10 +115,44 @@ def test_inverse_needs_unit_leading_coefficient():
 def test_power_and_validation():
     a = QSeries(0, (1, 1, 0, 0))
     assert a.power(2).coeffs == (1, 2, 1, 0)
-    with pytest.raises(ValueError):
-        a.power(0)
+    assert a.power(0) == QSeries(0, (1, 0, 0, 0))
+    assert QSeries(-1, (2, 1)).power(0) == QSeries(0, (1, 0))
     with pytest.raises(ValueError):
         QSeries(0, ())
+
+
+def _random_series(rng, lead):
+    return QSeries(rng.randrange(-6, 7),
+                   (lead,) + tuple(rng.randrange(-9, 10) for _ in range(11)))
+
+
+def test_power_property_on_random_series():
+    rng = random.Random(8)
+    for _ in range(40):
+        s = _random_series(rng, rng.choice([-3, -2, -1, 1, 2, 5]))
+        repeated = s
+        for e in range(1, 6):
+            assert s.power(e) == repeated
+            repeated = repeated.mul(s)
+    for lead in (1, -1):
+        for _ in range(20):
+            s = _random_series(rng, lead)
+            for e in range(1, 7):  # lead -1, even e: g_0 = a_0^|e| is +1
+                one = s.power(e).mul(s.power(-e))
+                assert one == QSeries(0, (1,) + (0,) * 11)
+
+
+def test_power_rejects_leads_without_an_exact_recurrence():
+    rng = random.Random(9)
+    for lead in (2, -2, 3):
+        s = _random_series(rng, lead)
+        for e in (-1, -2, -5):
+            with pytest.raises(ValueError):
+                s.power(e)
+    zero_lead = QSeries(0, (0, 1, 2))
+    for e in (-3, -1, 0, 1, 4):
+        with pytest.raises(ValueError):
+            zero_lead.power(e)
 
 
 def test_coefficient_window_errors():
