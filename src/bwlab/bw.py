@@ -106,7 +106,7 @@ def similarity_invariants(a: ScaledBasis, b: ScaledBasis, scale,
     if scale <= 0:
         raise ValueError("scale must be positive")
     ga, gb = exlat.gram(exlat.hnf_basis(a)), exlat.gram(exlat.hnf_basis(b))
-    rank = len(gb.entries)
+    rank = len(gb)
     det_ok = exlat.determinant(ga) == scale ** rank * exlat.determinant(gb)
     even_ok = exlat.is_even(ga) and exlat.is_even(gb)
     norms = [Fraction(n) for n in norms]

@@ -285,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", type=_fraction, required=True)
     p.add_argument("--count-only", action="store_true",
                    help="print the bare count")
-    p.add_argument("--threads", type=_positive_int, default=None,
-                   help="accepted and ignored: the search runs in one thread")
     _add_json_out(p)
     p.set_defaults(func=_cmd_lattice_enumerate)
 

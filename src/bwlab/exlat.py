@@ -35,6 +35,8 @@ from sympy.polys.matrices.normalforms import invariant_factors
 # to cover float rounding, never correctness
 ENUM_MARGIN = 1e-6
 _CHUNK = 1 << 17
+# minimum_norm searches no further than this norm
+SEARCH_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -64,15 +66,6 @@ class ScaledBasis:
     @property
     def ambient_dim(self) -> int:
         return len(self.mat[0])
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
 
 class ContainmentError(ValueError):
@@ -158,15 +151,13 @@ def hnf_basis(b: ScaledBasis) -> ScaledBasis:
 # --------------------------------------------------------------------------
 # Gram data
 
-def gram(b: ScaledBasis) -> GramMatrix:
-    """Exact Gram matrix of the stored generator rows."""
+def gram(b: ScaledBasis) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact Gram matrix of the stored generator rows, as Fraction rows."""
     scale = b.frame_scale / (b.den * b.den)
-    rows = b.mat
-    ent = tuple(
-        tuple(scale * sum(x * y for x, y in zip(ri, rj)) for rj in rows)
-        for ri in rows
+    return tuple(
+        tuple(scale * sum(x * y for x, y in zip(ri, rj)) for rj in b.mat)
+        for ri in b.mat
     )
-    return GramMatrix(ent)
 
 
 def _zz(rows) -> DomainMatrix:
@@ -174,31 +165,27 @@ def _zz(rows) -> DomainMatrix:
     return DomainMatrix.from_list([[int(x) for x in r] for r in rows], ZZ)
 
 
-def determinant(g: GramMatrix) -> Fraction:
-    n = g.size
-    if any(len(row) != n for row in g.entries):
+def determinant(g) -> Fraction:
+    n = len(g)
+    if any(len(row) != n for row in g):
         raise ValueError("gram matrix not square")
-    rows = [[Fraction(x) for x in row] for row in g.entries]
+    rows = [[Fraction(x) for x in row] for row in g]
     den = math.lcm(*(x.denominator for row in rows for x in row))
     return Fraction(int(_zz([[x * den for x in row] for row in rows]).det()),
                     den ** n)
 
 
-def is_even(g: GramMatrix) -> bool:
+def is_even(g) -> bool:
     """True iff the Gram matrix is integral with even diagonal."""
-    for row in g.entries:
+    for row in g:
         for x in row:
             if Fraction(x).denominator != 1:
                 return False
-    return all(row[i] % 2 == 0 for i, row in enumerate(g.entries))
+    return all(row[i] % 2 == 0 for i, row in enumerate(g))
 
 
 # --------------------------------------------------------------------------
 # containment and quotients
-
-def _same_frame(a: ScaledBasis, b: ScaledBasis) -> bool:
-    return a.frame_scale == b.frame_scale and a.ambient_dim == b.ambient_dim
-
 
 def _coords_in(outer: ScaledBasis, rows: tuple[tuple[int, ...], ...],
                row_den: int) -> tuple[list[list[int]], int]:
@@ -218,24 +205,14 @@ def _coords_in(outer: ScaledBasis, rows: tuple[tuple[int, ...], ...],
     return coords, abs(int(den)) * row_den
 
 
-def contains(outer: ScaledBasis, inner: ScaledBasis) -> bool:
-    """True iff every generator of inner lies in outer."""
-    if not _same_frame(outer, inner):
-        return False
-    try:
-        coords, den = _coords_in(outer, inner.mat, inner.den)
-    except ContainmentError:
-        return False
-    return all(x % den == 0 for row in coords for x in row)
-
-
 def quotient_invariants(outer: ScaledBasis, inner: ScaledBasis) -> tuple[int, ...]:
     """Nontrivial invariant factors of outer/inner (ascending, each | next).
 
     Raises ContainmentError if inner is not a finite-index sublattice
     (membership of every inner generator is checked exactly).
     """
-    if not _same_frame(outer, inner):
+    if (outer.frame_scale, outer.ambient_dim) \
+            != (inner.frame_scale, inner.ambient_dim):
         raise ValueError("lattices live in different frames")
     ib = hnf_basis(inner)
     coords, den = _coords_in(outer, ib.mat, ib.den)
@@ -313,17 +290,12 @@ def lll_reduce(b: ScaledBasis) -> ScaledBasis:
 # --------------------------------------------------------------------------
 # norm enumeration (the performance kernel)
 
-def _norm_target(b: ScaledBasis, n) -> int | None:
-    """Integer t with {v : <v,v> = n} = {x : |x . mat|^2 = t}, or None."""
+def _frame_norm(b: ScaledBasis, n) -> Fraction:
+    """The norm n in b's integer frame, n * den**2 / frame_scale: the
+    vectors of norm n are the x with |x . mat|^2 equal to it."""
     if isinstance(n, float):
         raise TypeError("norm must be an exact int/Fraction, not float")
-    n = Fraction(n)
-    if n <= 0:
-        raise ValueError("norm must be positive")
-    t = n * b.den * b.den / b.frame_scale
-    if t.denominator != 1:
-        return None
-    return int(t)
+    return Fraction(n) * b.den * b.den / b.frame_scale
 
 
 def _expand_stage(L: np.ndarray, i: int, X, C, PN, FREE, r2: float):
@@ -359,7 +331,9 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
 
     Returns the histogram {t: count} of every exact integer norm
     0 < t <= T (norms |x . mat|^2 in lll_reduce(b)'s integer frame) and,
-    when keep is set, the rows of norm exactly T.  The float radius is
+    when keep is set, a list of arrays of den-scaled frame coordinates
+    holding one row of norm exactly T from each pair {v, -v}, in no
+    particular order.  The float radius is
     T + ENUM_MARGIN, so a vector of norm t <= T passes every pruning test
     with at least the slack of a norm-T vector; each leaf's norm is then
     confirmed in int64.  The root is free (the leading nonzero coordinate
@@ -404,8 +378,7 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
         for t, c in zip(norms.tolist(), counts.tolist()):
             hist[t] = hist.get(t, 0) + 2 * c
         if keep:
-            W = V[S == T]
-            found += [W, -W]
+            found.append(V[S == T])
     return hist, found
 
 
@@ -415,30 +388,19 @@ def _shells(b: ScaledBasis, T: int) -> MappingProxyType:
     return MappingProxyType(_search(b, T)[0])
 
 
-def enumerate_norm(b: ScaledBasis, n, mode: str = "count",
-                   threads: int | None = None):
-    """All lattice vectors of exact norm n (both signs of each pair).
-
-    count mode returns the cardinality, read from the cached norm
-    histogram of one search out to n.  collect mode searches again,
-    uncached, and returns a read-only integer array of den-scaled frame
-    coordinates, rows sorted lexicographically.  The search runs in one
-    thread; threads is accepted for compatibility and ignored.
+def enumerate_norm(b: ScaledBasis, n, threads: int | None = None) -> int:
+    """Number of lattice vectors of exact norm n (both signs of each pair),
+    read from the cached norm histogram of one search out to n.  The
+    search runs in one thread; threads is accepted and ignored.
     """
     del threads
-    if mode not in ("count", "collect"):
-        raise ValueError("mode must be 'count' or 'collect'")
     bb = hnf_basis(b)
-    T = _norm_target(bb, n)
-    if mode == "count":
-        return 0 if T is None else _shells(bb, T).get(T, 0)
-    found = [] if T is None else _search(bb, T, keep=True)[1]
-    if not found:
-        return np.empty((0, bb.ambient_dim), dtype=np.int64)
-    V = np.concatenate(found, axis=0)
-    V = V[np.lexsort(V.T[::-1])]
-    V.setflags(write=False)
-    return V
+    t = _frame_norm(bb, n)
+    if t <= 0:
+        raise ValueError("norm must be positive")
+    if t.denominator != 1:
+        return 0
+    return _shells(bb, int(t)).get(int(t), 0)
 
 
 def shell_counts(b: ScaledBasis, max_norm) -> dict[Fraction, int]:
@@ -446,13 +408,11 @@ def shell_counts(b: ScaledBasis, max_norm) -> dict[Fraction, int]:
 
     Norms without vectors are left out; keys ascend.  One cached search.
     """
-    if isinstance(max_norm, float):
-        raise TypeError("norm must be an exact int/Fraction, not float")
     bb = hnf_basis(b)
-    unit = bb.frame_scale / (bb.den * bb.den)
-    T = math.floor(Fraction(max_norm) / unit)
+    T = math.floor(_frame_norm(bb, max_norm))
     if T < 1:
         return {}
+    unit = 1 / _frame_norm(bb, 1)
     return {t * unit: c for t, c in sorted(_shells(bb, T).items())}
 
 
@@ -464,33 +424,37 @@ def generated_by_norm_vectors(b: ScaledBasis, n, threads: int | None = None) -> 
     collects the norm-n vectors into an HNF; threads is ignored.
     """
     target = hnf_basis(b)
-    T = _norm_target(target, n)
+    t = _frame_norm(target, n)
+    if t <= 0:
+        raise ValueError("norm must be positive")
     want = [list(r) for r in target.mat]
     red = lll_reduce(target).mat
-    acc = [list(r) for r in red if sum(x * x for x in r) == T]
+    acc = [list(r) for r in red if sum(x * x for x in r) == t]
     if hnf_int_rows(acc) == want:
         return True
-    vecs = enumerate_norm(target, n, mode="collect")
-    for start in range(0, len(vecs), 512):
-        acc = hnf_int_rows(acc + vecs[start:start + 512].tolist())
+    if t.denominator != 1:
+        return False
+    found = _search(target, int(t), keep=True)[1]
+    rows = [r for W in found for r in W.tolist()]
+    for start in range(0, len(rows), 512):
+        acc = hnf_int_rows(acc + rows[start:start + 512])
         if acc == want:
             return True
     return False
 
 
-def minimum_norm(b: ScaledBasis, search_limit: int = 64) -> Fraction:
+def minimum_norm(b: ScaledBasis) -> Fraction:
     """Smallest positive vector norm, from one search.
 
     The shortest row of lll_reduce(b) is a lattice vector, so its norm
     bounds the minimum from above; the search runs out to that bound,
-    capped at search_limit.
+    capped at SEARCH_LIMIT.
     """
     bb = hnf_basis(b)
-    unit = bb.frame_scale / (bb.den * bb.den)
-    bound = unit * min(sum(x * x for x in row) for row in lll_reduce(bb).mat)
-    shells = shell_counts(bb, min(bound, search_limit))
+    bound = min(sum(x * x for x in row) for row in lll_reduce(bb).mat)
+    shells = shell_counts(bb, min(bound / _frame_norm(bb, 1), SEARCH_LIMIT))
     if not shells:
-        raise RuntimeError(f"no vector of norm <= {search_limit} found")
+        raise RuntimeError(f"no vector of norm <= {SEARCH_LIMIT} found")
     return min(shells)
 
 
@@ -510,16 +474,17 @@ def write_lattice(b: ScaledBasis, path) -> None:
 
 
 def read_lattice(path) -> ScaledBasis:
+    """Inverse of write_lattice: the header's rank counts the rows exactly."""
     with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) not in (3, 4):
-            raise ValueError("bad lattice file header")
-        nrows, ncols, den = int(head[0]), int(head[1]), int(head[2])
+        lines = [line.split() for line in fh if line.strip()]
+    if not lines or len(lines[0]) not in (3, 4):
+        raise ValueError("bad lattice file header")
+    head, rows = lines[0], lines[1:]
+    nrows, ncols, den = int(head[0]), int(head[1]), int(head[2])
+    try:
         frame = Fraction(head[3]) if len(head) == 4 else Fraction(1)
-        rows = []
-        for _ in range(nrows):
-            row = [int(t) for t in fh.readline().split()]
-            if len(row) != ncols:
-                raise ValueError("bad lattice file row")
-            rows.append(row)
-    return ScaledBasis.from_rows(rows, den, frame)
+    except ZeroDivisionError:
+        raise ValueError(f"bad frame scale {head[3]!r}") from None
+    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        raise ValueError(f"lattice file needs {nrows} rows of {ncols} entries")
+    return ScaledBasis.from_rows([[int(t) for t in r] for r in rows], den, frame)

@@ -39,28 +39,14 @@ class F2Matrix:
         assert all(0 <= r <= mask for r in self.bits), "row exceeds column count"
 
     @staticmethod
-    def from_rows(rows, cols: int | None = None) -> "F2Matrix":
-        """Build from an iterable of rows, each an iterable of 0/1 or an int."""
-        packed = []
-        width = cols
-        for r in rows:
-            if isinstance(r, int):
-                packed.append(r)
-            else:
-                r = tuple(r)
-                if width is None:
-                    width = len(r)
-                packed.append(vec_from_bits(r))
-        if width is None:
-            raise ValueError("cols required when all rows are ints")
-        return F2Matrix(len(packed), width, tuple(packed))
+    def from_rows(rows) -> "F2Matrix":
+        """Build from a list of rows, each a sequence of 0/1 entries."""
+        width = len(rows[0]) if rows else 0
+        return F2Matrix(len(rows), width, tuple(vec_from_bits(r) for r in rows))
 
     @staticmethod
     def identity(n: int) -> "F2Matrix":
         return F2Matrix(n, n, tuple(1 << i for i in range(n)))
-
-    def row_lists(self) -> list[list[int]]:
-        return [list(vec_to_bits(r, self.cols)) for r in self.bits]
 
     def transpose(self) -> "F2Matrix":
         out = [0] * self.cols
@@ -111,27 +97,9 @@ def random_invertible(n: int, rng) -> F2Matrix:
             return m
 
 
-@dataclass(frozen=True)
-class F2Code:
-    """A binary linear code given by a (possibly redundant) generator matrix."""
-    generators: F2Matrix
-    length: int
-
-    def __post_init__(self):
-        assert self.generators.cols == self.length
-
-    @property
-    def dimension(self) -> int:
-        return rank(self.generators)
-
-    def contains(self, word: int) -> bool:
-        ext = F2Matrix(self.generators.rows + 1, self.length,
-                       self.generators.bits + (word,))
-        return rank(ext) == self.dimension
-
-
-def rm14() -> F2Code:
-    """First-order Reed-Muller code of length 16 (dimension 5).
+def rm14() -> F2Matrix:
+    """Generator matrix of the first-order Reed-Muller code of length 16
+    (dimension 5).
 
     Generators: the all-ones word and the four coordinate functions on
     the 16 points, i.e. the patterns (10)^8, (1100)^4, (1^4 0^4)^2, 1^8 0^8.
@@ -143,16 +111,17 @@ def rm14() -> F2Code:
         0x0F0F,  # 1111000011110000
         0x00FF,  # 1111111100000000
     )
-    return F2Code(F2Matrix(5, 16, gens), 16)
+    return F2Matrix(5, 16, gens)
 
 
-def enumerate_codewords(c: F2Code) -> list[int]:
-    """All 2^dim codewords, ordered lexicographically by message vector.
+def enumerate_codewords(gens: F2Matrix) -> list[int]:
+    """All 2^dim codewords of the code that the rows of gens generate,
+    ordered lexicographically by message vector.
 
     The message vector runs over independent rows of the generator matrix
     in their stored order; its first coordinate varies slowest.
     """
-    basis = _independent_rows(c.generators)
+    basis = _independent_rows(gens)
     k = len(basis)
     if k > MAX_ENUM_DIM:
         raise ValueError(f"code dimension {k} exceeds enumeration guard {MAX_ENUM_DIM}")
@@ -188,7 +157,7 @@ def _independent_rows(m: F2Matrix) -> list[int]:
     return picked
 
 
-def weight_enumerator(c: F2Code) -> dict[int, int]:
+def weight_enumerator(gens: F2Matrix) -> dict[int, int]:
     """Hamming-weight distribution of the full codeword list."""
-    counts = Counter(w.bit_count() for w in enumerate_codewords(c))
+    counts = Counter(w.bit_count() for w in enumerate_codewords(gens))
     return dict(sorted(counts.items()))

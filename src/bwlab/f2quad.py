@@ -256,15 +256,8 @@ def isometry_counts(s: QuadSpace) -> tuple[int, int]:
 
 # --- form files: first line dim, then the upper-triangular 0/1 rows ---
 
-def write_form(s: QuadSpace, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{s.dim}\n")
-        for row in s.upper.row_lists():
-            fh.write(" ".join(str(b) for b in row) + "\n")
-
-
 def read_form(path) -> QuadSpace:
-    """Inverse of write_form: exactly dim rows of dim entries, each 0 or 1."""
+    """Exactly dim rows of dim entries after the dim line, each 0 or 1."""
     with open(path) as fh:
         dim = int(fh.readline().strip())
         rows = [line.split() for line in fh if line.strip()]
@@ -273,4 +266,4 @@ def read_form(path) -> QuadSpace:
     if any(t not in ("0", "1") for r in rows for t in r):
         raise ValueError("form file entries must be 0 or 1")
     bits = [[int(t) for t in r] for r in rows]
-    return QuadSpace(dim, F2Matrix.from_rows(bits, dim))
+    return QuadSpace(dim, F2Matrix.from_rows(bits))

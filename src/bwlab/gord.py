@@ -130,25 +130,11 @@ def e6_order(q: int) -> FactoredInteger:
     return order.div(_fi(math.gcd(3, q - 1)))
 
 
-def index(g: FactoredInteger, h: FactoredInteger) -> FactoredInteger:
-    """Exact quotient of group orders; raises if h does not divide g."""
-    return g.div(h)
-
-
 def sylow_part(n: FactoredInteger, p: int) -> FactoredInteger:
     if not sympy.isprime(p):
         raise ValueError("p must be prime")
     e = n.valuation(p)
     return FactoredInteger(((p, e),) if e else ())
-
-
-@dataclass(frozen=True)
-class GroupShape:
-    """Extension shape as layer tokens, e.g. 2^{1+32}.2^{10}.OmegaPlus(10,2)."""
-    layers: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return ".".join(self.layers)
 
 
 _TOKEN_PATTERNS = (
@@ -158,17 +144,6 @@ _TOKEN_PATTERNS = (
     ("e6", re.compile(r"^E6\((\d+)\)$")),
     ("plain", re.compile(r"^(\d+)$")),
 )
-
-
-def parse_shape(text: str) -> GroupShape:
-    layers = tuple(t.strip() for t in text.split("."))
-    if not any(layers):
-        raise ValueError("empty shape string")
-    if not all(layers):
-        raise ValueError("empty layer between dots")
-    for tok in layers:
-        _layer_order(tok)  # raises on unresolvable tokens
-    return GroupShape(layers)
 
 
 def _layer_order(token: str) -> FactoredInteger:
@@ -188,11 +163,15 @@ def _layer_order(token: str) -> FactoredInteger:
     raise ValueError(f"unresolvable shape token: {token!r}")
 
 
-def shape_order(s: GroupShape | str) -> FactoredInteger:
-    """Product of the layer orders (reads orders only, never splitness)."""
-    if isinstance(s, str):
-        s = parse_shape(s)
+def shape_order(text: str) -> FactoredInteger:
+    """Product of the layer orders of a dotted shape such as
+    2^{1+32}.2^{10}.OmegaPlus(10,2) (reads orders only, never splitness)."""
+    layers = [t.strip() for t in text.split(".")]
+    if not any(layers):
+        raise ValueError("empty shape string")
     order = FactoredInteger(())
-    for tok in s.layers:
+    for tok in layers:
+        if not tok:
+            raise ValueError("empty layer between dots")
         order = order.mul(_layer_order(tok))
     return order

@@ -36,10 +36,6 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         a.setflags(write=False)
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 

@@ -169,6 +169,9 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["lattice", "enumerate", "--lattice", "bw16",
                      "--norm", "4", "--bogus"]) == 2
     capsys.readouterr()
+    assert cli.main(["lattice", "enumerate", "--lattice", "bw16",
+                     "--norm", "4", "--threads", "2"]) == 2
+    capsys.readouterr()
     assert cli.main(["quad", "singular-count", "--space", "x9"]) == 2
     capsys.readouterr()
 
@@ -182,6 +185,17 @@ def test_runtime_errors_exit_2(argv, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("body", ["2 3 1\n1 0 0\n0 1 0\n0 0 1\n",
+                                  "2 2 1 1/0\n1 0\n0 1\n"],
+                         ids=["extra-row", "zero-frame-denominator"])
+def test_malformed_lattice_file_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "bad.lat"
+    path.write_text(body)
+    code, _, err = _run(capsys, "lattice", "invariants", "--file", str(path))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("body", ["2\n0 1\n0 0 1\n", "2\n0 2\n0 0\n"],

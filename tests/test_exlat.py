@@ -80,8 +80,8 @@ def test_unimodular_row_operations_fix_the_lattice():
 
 def test_gram_of_frame_scaled_z2():
     g = exlat.gram(_zn(2, frame=2))
-    assert g.entries == ((Fraction(2), Fraction(0)),
-                         (Fraction(0), Fraction(2)))
+    assert g == ((Fraction(2), Fraction(0)),
+                 (Fraction(0), Fraction(2)))
     assert exlat.determinant(g) == 4
     assert exlat.is_even(g)
 
@@ -104,7 +104,7 @@ def test_determinant_matches_float_estimate():
 def test_half_integer_gram_not_even():
     b = ScaledBasis.from_rows([[1, 1], [0, 2]], 2)
     g = exlat.gram(b)
-    assert g.entries[0][0] == Fraction(1, 2)
+    assert g[0][0] == Fraction(1, 2)
     assert not exlat.is_even(g)
 
 
@@ -153,14 +153,6 @@ def test_quotient_requires_containment():
         exlat.quotient_invariants(wide, _zn(2))
 
 
-def test_contains():
-    assert exlat.contains(_zn(2), exlat.scale(_zn(2), 3))
-    assert not exlat.contains(exlat.scale(_zn(2), 3), _zn(2))
-    wide = ScaledBasis.from_rows([[1, 0, 5], [0, 1, 7]], 1)
-    assert not exlat.contains(_zn(2), wide)
-    assert not exlat.contains(wide, _zn(2))
-
-
 def test_quotient_invariants_of_random_sublattices():
     rng = random.Random(26)
     for _ in range(25):
@@ -174,7 +166,7 @@ def test_quotient_invariants_of_random_sublattices():
                 break
         rows = np.array(U, dtype=np.int64) @ np.array(b.mat, dtype=np.int64)
         inner = ScaledBasis.from_rows(rows.tolist(), b.den, b.frame_scale)
-        assert exlat.contains(b, inner)
+        # quotient_invariants checks containment exactly before the Smith form
         assert math.prod(exlat.quotient_invariants(b, inner)) == abs(det_u)
         assert exlat.determinant(exlat.gram(inner)) \
             == det_u ** 2 * exlat.determinant(exlat.gram(b))
@@ -277,45 +269,39 @@ def _canonical_den(b):
     return b.den // math.gcd(b.den, *(x for r in b.mat for x in r))
 
 
+def _kept_rows(b, n):
+    """The keep-mode rows of an uncached search out to norm n: one row of
+    each pair {v, -v}, in units of 1/den of the canonical basis."""
+    bb = exlat.hnf_basis(b)
+    t = exlat._frame_norm(bb, n)
+    if t.denominator != 1:
+        return []
+    return [r for W in exlat._search(bb, int(t), keep=True)[1]
+            for r in W.tolist()]
+
+
 def test_collect_mode_rows_match_box_oracle():
     # the vectors themselves, not only their number
     rng = random.Random(27)
     for _ in range(25):
         b = _oracles.random_small_basis(rng)
         step = b.frame_scale / (b.den * b.den)
-        # the oracle works in units of 1/b.den, collect mode in units of
+        # the oracle works in units of 1/b.den, the search in units of
         # 1/den of the canonical basis, and that den divides b.den
         k = b.den // _canonical_den(b)
         for mult in (1, 2, 3, 5):
-            rows = exlat.enumerate_norm(b, step * mult, mode="collect")
-            got = [tuple(k * int(x) for x in r) for r in rows]
-            assert got == _oracles.box_norm_vectors(b, step * mult)
-
-
-def test_collect_mode_rows_are_exact_and_sorted():
-    e8 = _e8()
-    rows = exlat.enumerate_norm(e8, 2, mode="collect")
-    assert rows.shape == (240, 8)
-    as_tuples = [tuple(int(x) for x in r) for r in rows]
-    assert as_tuples == sorted(as_tuples)
-    seen = set(as_tuples)
-    for t in as_tuples:
-        assert tuple(-x for x in t) in seen
-        norm = Fraction(sum(x * x for x in t)) * e8.frame_scale \
-            / (e8.den * e8.den)
-        assert norm == 2
-    with pytest.raises(ValueError):
-        rows[0, 0] = 99  # read-only view
+            half = [tuple(k * x for x in r) for r in _kept_rows(b, step * mult)]
+            both = half + [tuple(-x for x in r) for r in half]
+            assert sorted(both) == _oracles.box_norm_vectors(b, step * mult)
 
 
 def test_count_collect_and_shell_counts_agree():
-    # count mode reads the cached histogram, collect mode searches again
+    # counts read the cached histogram; the keep-mode search walks again
     for lattice in (_e8(), bw.bw16()):
         norms = (2, 4, 6, 8)
         counts = {Fraction(n): exlat.enumerate_norm(lattice, n) for n in norms}
         for n in norms:
-            assert len(exlat.enumerate_norm(lattice, n, mode="collect")) \
-                == counts[n]
+            assert 2 * len(_kept_rows(lattice, n)) == counts[n]
         assert exlat.shell_counts(lattice, 8) == {
             n: c for n, c in counts.items() if c}
 
@@ -323,8 +309,6 @@ def test_count_collect_and_shell_counts_agree():
 def test_enumerate_input_validation():
     with pytest.raises(TypeError):
         exlat.enumerate_norm(_zn(2), 2.0)
-    with pytest.raises(ValueError):
-        exlat.enumerate_norm(_zn(2), 2, mode="list")
     with pytest.raises(ValueError):
         exlat.enumerate_norm(_zn(2), 0)
     with pytest.raises(ValueError):
@@ -352,17 +336,15 @@ def test_generated_by_norm_vectors_falls_back_to_the_search():
 
 
 def _generates(b, rows) -> bool:
-    """Do rows (units of 1/canonical den) generate b?  Covolume by HNF."""
+    """Do rows (units of 1/b.den) generate b?  Covolume by HNF; the rows
+    of b.mat are independent, so they are a basis."""
     if len(rows) == 0:
         return False
-    rank = len(b.mat)
-    H = hermite_normal_form(Matrix([[int(x) for x in r] for r in rows]).T)
-    if H.shape[1] != rank:
+    H = hermite_normal_form(Matrix(rows).T)
+    if H.shape[1] != len(b.mat):
         return False
-    den = _canonical_den(b)
     M = Matrix(b.mat)
-    return (H.T * H).det() * b.den ** (2 * rank) \
-        == (M * M.T).det() * den ** (2 * rank)
+    return (H.T * H).det() == (M * M.T).det()
 
 
 def test_generated_by_norm_vectors_matches_hnf_oracle():
@@ -373,8 +355,7 @@ def test_generated_by_norm_vectors_matches_hnf_oracle():
         step = b.frame_scale / (b.den * b.den)
         for mult in (1, 2, 3, 4, 5):
             n = step * mult
-            rows = exlat.enumerate_norm(b, n, mode="collect")
-            want = _generates(b, rows)
+            want = _generates(b, _oracles.box_norm_vectors(b, n))
             assert exlat.generated_by_norm_vectors(b, n) == want
             seen.add(want)
     assert seen == {True, False}
@@ -384,7 +365,7 @@ def test_minimum_norm_values_and_failure():
     assert exlat.minimum_norm(_zn(2)) == 1
     assert exlat.minimum_norm(_zn(2, frame=2)) == 2
     with pytest.raises(RuntimeError):
-        exlat.minimum_norm(exlat.scale(_zn(1), 10), search_limit=4)
+        exlat.minimum_norm(exlat.scale(_zn(1), 10))  # norm 100 > 64
 
 
 # --------------------------------------------------------------------------
@@ -415,5 +396,11 @@ def test_lattice_file_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
         exlat.read_lattice(bad)
     bad.write_text("2 2 1\n1 0\n0 1 5\n")
+    with pytest.raises(ValueError):
+        exlat.read_lattice(bad)
+    bad.write_text("2 3 1\n1 0 0\n0 1 0\n0 0 1\n")  # a row past the rank
+    with pytest.raises(ValueError):
+        exlat.read_lattice(bad)
+    bad.write_text("2 2 1 1/0\n1 0\n0 1\n")
     with pytest.raises(ValueError):
         exlat.read_lattice(bad)

@@ -233,7 +233,8 @@ def test_form_file_roundtrip(tmp_path):
     rng = random.Random(36)
     s = _random_upper(rng, 8)
     path = tmp_path / "form.f2q"
-    fq.write_form(s, path)
+    rows = [" ".join(map(str, fl.vec_to_bits(r, s.dim))) for r in s.upper.bits]
+    path.write_text("\n".join([str(s.dim)] + rows) + "\n")
     assert fq.read_form(path) == s
 
 
