@@ -277,12 +277,12 @@ def rescale_metric(b: ScaledBasis, factor) -> ScaledBasis:
 
 
 # --------------------------------------------------------------------------
-# LLL (delta = 3/4), exact integer arithmetic via sympy's kernel
+# LLL (delta = 9/10), exact integer arithmetic via sympy's kernel
 
 @lru_cache(maxsize=64)
 def lll_reduce(b: ScaledBasis) -> ScaledBasis:
     bb = hnf_basis(b)
-    red = _zz(bb.mat).lll(delta=QQ(3, 4)).to_list()
+    red = _zz(bb.mat).lll(delta=QQ(9, 10)).to_list()
     rows = tuple(tuple(int(x) for x in r) for r in red)
     return ScaledBasis(rows, bb.den, bb.frame_scale)
 
@@ -298,9 +298,10 @@ def _frame_norm(b: ScaledBasis, n) -> Fraction:
     return Fraction(n) * b.den * b.den / b.frame_scale
 
 
-def _expand_stage(L: np.ndarray, i: int, X, C, PN, FREE, r2: float):
-    """One tree layer, vectorized over all live prefixes and live columns:
-    X holds the set coordinates i+1..r-1, C the centre terms of 0..i."""
+def _expand_stage(L: np.ndarray, i: int, C, PN, FREE, r2: float):
+    """One tree layer, vectorized over all live prefixes: C holds the
+    centre terms of 0..i.  Returns each child's coordinate t and parent
+    index idx, with the children's C (terms of 0..i-1), PN and FREE."""
     ell = L[i, i]
     c = C[:, i]
     rem = np.maximum(r2 - PN, 0.0)
@@ -315,15 +316,12 @@ def _expand_stage(L: np.ndarray, i: int, X, C, PN, FREE, r2: float):
     idx = np.repeat(np.arange(len(cnt)), cnt)
     starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
     t = lo[idx] + (np.arange(total) - starts[idx])
-    newX = np.empty((total, X.shape[1] + 1), dtype=np.int64)
-    newX[:, 0] = t
-    newX[:, 1:] = X[idx]
     comp = c[idx] + t * ell
     newPN = PN[idx] + comp * comp
     newC = C[idx, :i]
     newC += t[:, None] * L[i, :i]
     newFREE = FREE[idx] & (t == 0)
-    return newX, newC, newPN, newFREE
+    return t, idx, newC, newPN, newFREE
 
 
 def _search(b: ScaledBasis, T: int, keep: bool = False):
@@ -337,9 +335,11 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
     T + ENUM_MARGIN, so a vector of norm t <= T passes every pruning test
     with at least the slack of a norm-T vector; each leaf's norm is then
     confirmed in int64.  The root is free (the leading nonzero coordinate
-    is positive), so each leaf stands for the pair {v, -v}.  Stages carry
-    only live columns, are split into chunks to bound memory, and the
-    leaves rebuild V = X . mat.
+    is positive), so each leaf stands for the pair {v, -v}.  A stack entry
+    holds one (t, idx) pair per set level, coordinates r-1 downwards,
+    where idx points into the level above; a chunk split slices only the
+    newest level and shares its parents.  Leaves rebuild their
+    coordinates X by walking idx upwards, then V = X . mat.
     """
     red = lll_reduce(b)
     M = np.array(red.mat, dtype=np.int64)
@@ -352,26 +352,32 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
     r2 = float(T) + ENUM_MARGIN
     hist: dict[int, int] = {}
     found = []
-    stack = [(r, np.zeros((1, 0), dtype=np.int64), np.zeros((1, r)),
-              np.zeros(1), np.ones(1, dtype=bool))]
+    stack = [(r, (), np.zeros((1, r)), np.zeros(1), np.ones(1, dtype=bool))]
     while stack:
-        i, X, C, PN, FREE = stack.pop()
+        i, levels, C, PN, FREE = stack.pop()
         while i > 0:
-            out = _expand_stage(L, i - 1, X, C, PN, FREE, r2)
+            out = _expand_stage(L, i - 1, C, PN, FREE, r2)
             if out is None:
-                X = None
+                levels = None
                 break
-            X, C, PN, FREE = out
+            t, idx, C, PN, FREE = out
+            levels += ((t, idx),)
             i -= 1
-            if len(X) > _CHUNK and i > 0:
-                for k in range(0, len(X), _CHUNK):
+            if len(t) > _CHUNK and i > 0:
+                for k in range(0, len(t), _CHUNK):
                     sl = slice(k, k + _CHUNK)
-                    stack.append((i, X[sl], C[sl], PN[sl], FREE[sl]))
-                X = None
+                    stack.append((i, levels[:-1] + ((t[sl], idx[sl]),),
+                                  C[sl], PN[sl], FREE[sl]))
+                levels = None
                 break
-        if X is None or len(X) == 0:
+        if levels is None:
             continue
-        # exact integer confirmation for every float-accepted candidate
+        # rebuild X from the parent chains; confirm every candidate in int64
+        X = np.empty((len(PN), r), dtype=np.int64)
+        j = np.arange(len(PN))
+        for col, (t, idx) in enumerate(reversed(levels)):
+            X[:, col] = t[j]
+            j = idx[j]
         V = X @ M
         S = np.einsum("ij,ij->i", V, V)
         norms, counts = np.unique(S[(S > 0) & (S <= T)], return_counts=True)

@@ -1,7 +1,7 @@
 """The rank-16 and rank-32 constructions and the index-2^16 tower step.
 
-Rank-32 tree searches are marked slow; everything else stays under a
-few seconds.
+The rank-32 tree searches at norm 4 and beyond are marked slow;
+everything else stays under a few seconds.
 """
 
 from fractions import Fraction
@@ -108,9 +108,36 @@ def test_bw32_minimum():
     assert exlat.minimum_norm(bw.bw32()) == 4
 
 
-def test_bw32_generated_by_minimal_vectors():
-    # the norm-4 LLL rows are the witness, so no rank-32 search runs
+def test_bw32_generated_by_minimal_vectors(monkeypatch):
+    # the minimal LLL rows are the witness, so no tree search runs
+    s2dual = exlat.rescale_metric(exlat.dual(bw.bw16()), 2)
+    s2min = exlat.minimum_norm(s2dual)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the LLL witness failed; a tree search ran")
+
+    monkeypatch.setattr(exlat, "_search", no_search)
+    assert exlat.generated_by_norm_vectors(bw.bw16(), 4)
     assert exlat.generated_by_norm_vectors(bw.bw32(), 4)
+    assert exlat.generated_by_norm_vectors(s2dual, s2min)
+
+
+def test_bw32_norm2_tree_size(monkeypatch):
+    # LLL at delta 9/10 halves this tree (52532 nodes at delta 3/4)
+    nodes = 0
+    expand = exlat._expand_stage
+
+    def counted(*args):
+        nonlocal nodes
+        out = expand(*args)
+        if out is not None:
+            nodes += len(out[0])
+        return out
+
+    monkeypatch.setattr(exlat, "_expand_stage", counted)
+    bb = exlat.hnf_basis(bw.bw32())
+    assert exlat._search(bb, int(exlat._frame_norm(bb, 2))) == ({}, [])
+    assert 0 < nodes <= 30000
 
 
 @pytest.mark.slow

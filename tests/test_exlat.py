@@ -194,7 +194,22 @@ def test_scale_and_rescale_metric():
         exlat.scale(b, 0)
 
 
+def _gram_schmidt(rows):
+    """Exact Gram-Schmidt: the squared norms |b*_i|^2 and the mu_ij."""
+    star, norms = [], []
+    mu = [[Fraction(0)] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(row, star[j])) / norms[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+        star.append(v)
+        norms.append(sum(x * x for x in v))
+    return norms, mu
+
+
 def test_lll_preserves_lattice_and_shortens():
+    delta = Fraction(9, 10)
     rng = random.Random(25)
     for _ in range(15):
         b = _oracles.random_small_basis(rng)
@@ -204,6 +219,12 @@ def test_lll_preserves_lattice_and_shortens():
         def longest(s):
             return max(sum(x * x for x in row) for row in s.mat)
         assert longest(red) <= longest(mixed)
+        # size reduced, and the Lovasz condition holds at delta = 9/10
+        norms, mu = _gram_schmidt(red.mat)
+        for i in range(len(norms)):
+            assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+            if i:
+                assert norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]
 
 
 # --------------------------------------------------------------------------
@@ -293,6 +314,39 @@ def test_collect_mode_rows_match_box_oracle():
             half = [tuple(k * x for x in r) for r in _kept_rows(b, step * mult)]
             both = half + [tuple(-x for x in r) for r in half]
             assert sorted(both) == _oracles.box_norm_vectors(b, step * mult)
+
+
+def _both_signs(bb, T):
+    """The histogram and the sorted keep-mode rows with their negatives
+    of one uncached search of the canonical basis bb out to radius T."""
+    hist, found = exlat._search(bb, T, keep=True)
+    half = [tuple(r) for W in found for r in W.tolist()]
+    return hist, sorted(half + [tuple(-x for x in r) for r in half])
+
+
+def test_chunk_split_matches_unchunked_and_box_oracle(monkeypatch):
+    # tiny chunks split almost every level, so leaves rebuild their
+    # coordinates through parent levels that many chunks share
+    cases = []
+    rng = random.Random(29)
+    for _ in range(20):
+        b = _oracles.random_small_basis(rng)
+        bb = exlat.hnf_basis(b)
+        step = b.frame_scale / (b.den * b.den)
+        for mult in (2, 5, 8):
+            t = exlat._frame_norm(bb, step * mult)
+            if t.denominator == 1:
+                cases.append((bb, int(t), b.den // bb.den,
+                              _oracles.box_norm_vectors(b, step * mult)))
+    bw16 = exlat.hnf_basis(bw.bw16())
+    cases.append((bw16, int(exlat._frame_norm(bw16, 6)), 1, None))
+    whole = [_both_signs(bb, T) for bb, T, _, _ in cases]
+    monkeypatch.setattr(exlat, "_CHUNK", 7)
+    for (bb, T, k, want), (hist, rows) in zip(cases, whole):
+        assert _both_signs(bb, T) == (hist, rows)
+        if want is not None:
+            assert [tuple(k * x for x in r) for r in rows] == want
+    assert len(cases) > 40 and len(whole[-1][1]) == 61440
 
 
 def test_count_collect_and_shell_counts_agree():
