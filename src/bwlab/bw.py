@@ -14,11 +14,15 @@ roles.  Both steps are instances of one recipe on a pair (L, D):
 
 with the next pair given by (L, D) -> (2D, L).  Applying the step twice
 lands on 2x the rank-32 lattice, which tower_check verifies exactly.
+
+The similarities BW16 ~ sqrt2 BW16* and bw1 ~ sqrt2 BW32 are proved by
+the explicit map phi = 1 + i on paired frame coordinates (Nebe, Rains
+and Sloane 2002): phi * BW16* = BW16 and phi * BW32 = bw1 are exact HNF
+equalities.  similarity_invariants keeps the search-based evidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -76,43 +80,41 @@ def tower_check() -> bool:
     return exlat.lattice_equal(level2, exlat.scale(bw32(), 2))
 
 
-@dataclass(frozen=True)
-class SimilarityReport:
-    """Necessary-condition evidence for similarity, never a proof."""
-    scale: Fraction
-    det_ok: bool
-    even_ok: bool
-    norm_counts: tuple[tuple[Fraction, int, int], ...]  # (n, |a(scale*n)|, |b(n)|)
+def phi(b: ScaledBasis) -> ScaledBasis:
+    """phi*L for phi = 1 + i on the frame coordinate pairs (k, k + n/2).
 
-    @property
-    def norms_ok(self) -> bool:
-        return all(ca == cb for _, ca, cb in self.norm_counts)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.det_ok and self.even_ok and self.norms_ok
+    Each pair (a, c) goes to (a - c, a + c): the frame maps to itself and
+    every norm doubles exactly, so phi*L = M proves L ~ M at norm scale 2.
+    """
+    n = b.ambient_dim
+    if n % 2:
+        raise ValueError("phi needs an even ambient dimension")
+    h = n // 2
+    rows = [[r[k] - r[k + h] for k in range(h)]
+            + [r[k] + r[k + h] for k in range(h)] for r in b.mat]
+    return exlat.hnf_basis(ScaledBasis.from_rows(rows, b.den, b.frame_scale))
 
 
 def similarity_invariants(a: ScaledBasis, b: ScaledBasis, scale,
-                          norms=(2, 4, 6, 8)) -> SimilarityReport:
+                          norms) -> bool:
     """Invariant-level check that a could be a norm-scale copy of b.
 
     Verifies det(a) = scale^rank * det(b), evenness of both, and the
-    norm-profile equalities |a(scale*n)| = |b(n)| for n in norms.  Each
-    lattice is searched once, out to the largest asked norm; the norm
-    list is adjustable because that search is heavy at rank 32.
+    norm-profile equalities |a(scale*n)| = |b(n)| for n in norms:
+    necessary conditions, never a proof (phi gives the proofs).  Each
+    lattice is searched once, out to the largest asked norm.
     """
     scale = Fraction(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
     ga, gb = exlat.gram(exlat.hnf_basis(a)), exlat.gram(exlat.hnf_basis(b))
-    rank = len(gb)
-    det_ok = exlat.determinant(ga) == scale ** rank * exlat.determinant(gb)
-    even_ok = exlat.is_even(ga) and exlat.is_even(gb)
+    if exlat.determinant(ga) != scale ** len(gb) * exlat.determinant(gb):
+        return False
+    if not (exlat.is_even(ga) and exlat.is_even(gb)):
+        return False
     norms = [Fraction(n) for n in norms]
     if any(n <= 0 for n in norms):
         raise ValueError("norms must be positive")
     top = max(norms, default=0)
     sa, sb = exlat.shell_counts(a, scale * top), exlat.shell_counts(b, top)
-    counts = tuple((n, sa.get(scale * n, 0), sb.get(n, 0)) for n in norms)
-    return SimilarityReport(scale, det_ok, even_ok, counts)
+    return all(sa.get(scale * n, 0) == sb.get(n, 0) for n in norms)

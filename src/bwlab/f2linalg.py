@@ -69,13 +69,6 @@ class F2Matrix:
             out.append(acc)
         return F2Matrix(self.rows, other.cols, tuple(out))
 
-    def mul_vec(self, x: int) -> int:
-        """Matrix times column vector: bit i of result = <row i, x>."""
-        acc = 0
-        for i, r in enumerate(self.bits):
-            acc |= ((r & x).bit_count() & 1) << i
-        return acc
-
     def add(self, other: "F2Matrix") -> "F2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -86,15 +79,6 @@ class F2Matrix:
 def rank(m: F2Matrix) -> int:
     """GF(2) row rank: the size of a maximal independent subset of rows."""
     return len(_independent_rows(m))
-
-
-def random_invertible(n: int, rng) -> F2Matrix:
-    """Uniform-ish invertible n x n matrix by rejection sampling."""
-    mask = (1 << n) - 1
-    while True:
-        m = F2Matrix(n, n, tuple(rng.getrandbits(n) & mask for _ in range(n)))
-        if rank(m) == n:
-            return m
 
 
 def rm14() -> F2Matrix:

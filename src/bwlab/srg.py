@@ -58,26 +58,6 @@ class NotStronglyRegular:
     pair: tuple[int, int] | None = None
 
 
-def from_edges(n: int, edges) -> Graph:
-    a = np.zeros((n, n), dtype=bool)
-    for i, j in edges:
-        if i == j:
-            raise ValueError("loops not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for {n} vertices")
-        a[i, j] = a[j, i] = True
-    return Graph(n, a)
-
-
-def complete_graph(n: int) -> Graph:
-    a = ~np.eye(n, dtype=bool)
-    return Graph(n, a)
-
-
-def cycle_graph(n: int) -> Graph:
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def perp_graph(s: f2quad.QuadSpace) -> Graph:
     """Vertices: nonzero singular vectors (lex order); edges: B(x,y) = 0."""
     if s.dim > MAX_PERP_DIM:

@@ -8,12 +8,14 @@ report; the two genuinely expensive computations (the rank-32 norm-4
 enumeration and the 527-vertex graph certification) sit behind a slow
 flag so the fast sweep stays in CI territory.
 
-Every lattice fact comes from one single-threaded tree search per
-lattice and radius, whose norm histogram is cached, so the rank-32
-kissing number, minimum and similarity profile share one norm-4 search;
-generation by the norm-4 vectors is proved by the LLL basis rows with
-no search.  The exact linear algebra (duals, quotients, determinants)
-is fraction-free DomainMatrix arithmetic.
+Every lattice fact that needs vectors comes from one single-threaded
+tree search per lattice and radius, whose norm histogram is cached, so
+the rank-32 kissing number and minimum share one norm-4 search with the
+slow similarity32-full profile.  Generation by the norm-4 vectors is
+proved by the LLL basis rows, and the two fast similarities by the
+exact map phi = 1 + i, all with no search.  The exact linear algebra
+(duals, quotients, determinants) is fraction-free DomainMatrix
+arithmetic.
 """
 
 from __future__ import annotations
@@ -92,15 +94,6 @@ def _lattice_checks() -> list[Check]:
     def kiss32():
         return exlat.enumerate_norm(bw.bw32(), 4)
 
-    def sim16():
-        return bw.similarity_invariants(
-            exlat.rescale_metric(exlat.dual(bw.bw16()), 2), bw.bw16(), 1,
-            norms=(2, 4, 6, 8)).all_ok
-
-    def sim32(norms):
-        return bw.similarity_invariants(
-            bw.bw1(), bw.bw32(), 2, norms=norms).all_ok
-
     return [
         Check("lattice.bw16-even", "1.1", "True",
               lambda: exlat.is_even(exlat.gram(bw.bw16()))),
@@ -135,11 +128,16 @@ def _lattice_checks() -> list[Check]:
         Check("lattice.tower-quotient", "1.1", "(" + "2, " * 15 + "2)",
               lambda: exlat.quotient_invariants(bw.bw32(), bw.bw1())),
         Check("lattice.tower-closes", "1.1", "True", bw.tower_check),
-        Check("lattice.similarity16", "1.1", "True", sim16),
+        # exact witnesses: phi = 1 + i carries one lattice onto the other
+        Check("lattice.similarity16", "1.1", "True",
+              lambda: exlat.lattice_equal(bw.phi(exlat.dual(bw.bw16())),
+                                          bw.bw16())),
         Check("lattice.similarity32", "1.1", "True",
-              lambda: sim32((2,))),
+              lambda: exlat.lattice_equal(bw.phi(bw.bw32()), bw.bw1())),
+        # the search-based route, independent of the construction
         Check("lattice.similarity32-full", "1.1", "True",
-              lambda: sim32((2, 4)), slow=True),
+              lambda: bw.similarity_invariants(bw.bw1(), bw.bw32(), 2, (2, 4)),
+              slow=True),
     ]
 
 

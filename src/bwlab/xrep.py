@@ -18,7 +18,7 @@ import numpy as np
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
-DEFAULT_CAP = 1 << 13
+CLOSURE_CAP = 1 << 13  # closure gives up past this many elements
 
 
 class ClosureCapError(RuntimeError):
@@ -94,7 +94,7 @@ def block_double(a: MatrixGroup) -> MatrixGroup:
     return MatrixGroup.from_arrays(gens)
 
 
-def closure(g: MatrixGroup, cap: int = DEFAULT_CAP) -> list[np.ndarray]:
+def closure(g: MatrixGroup) -> list[np.ndarray]:
     """All distinct elements by breadth-first products, identity first."""
     gens = [np.array(x, dtype=np.int64) for x in g.generators]
     ident = np.eye(g.dim, dtype=np.int64)
@@ -111,22 +111,23 @@ def closure(g: MatrixGroup, cap: int = DEFAULT_CAP) -> list[np.ndarray]:
                 prod = e @ gen
                 k = key(prod)
                 if k not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= CLOSURE_CAP:
                         raise ClosureCapError(
-                            f"closure exceeded cap {cap}; construction suspect")
+                            f"closure exceeded cap {CLOSURE_CAP}; "
+                            "construction suspect")
                     seen[k] = prod
                     nxt.append(prod)
         frontier = nxt
     return list(seen.values())
 
 
-def char_norm(g: MatrixGroup, cap: int = DEFAULT_CAP) -> int:
+def char_norm(g: MatrixGroup) -> int:
     """sum of squared traces over the group, divided by the order.
 
     Value 1 certifies irreducibility of the defining module (traces are
     real integers here, so no conjugation subtleties arise).
     """
-    elems = closure(g, cap)
+    elems = closure(g)
     total = sum(int(np.trace(e)) ** 2 for e in elems)
     order = len(elems)
     if total % order:

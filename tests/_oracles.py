@@ -3,7 +3,8 @@
 Everything here recomputes values by a different method than the
 package: vector counts by exhaustive box enumeration bounded through an
 eigenvalue estimate, series roots by Newton iteration over rationals.
-Deliberately slow and simple.
+Deliberately slow and simple.  The small GF(2) and graph builders at the
+end exist only to feed the tests.
 """
 
 from fractions import Fraction
@@ -11,8 +12,9 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from bwlab import exlat
+from bwlab import exlat, f2linalg, srg
 from bwlab.exlat import ScaledBasis
+from bwlab.f2linalg import F2Matrix
 
 MAX_BOX = 2_000_000
 
@@ -127,3 +129,41 @@ def newton_cube_root(y, n):
         c = [third * (2 * ci + yi) for ci, yi in
              zip(c, poly_mul(list(y[:n]), poly_inv(c_sq, n), n))]
     return c
+
+
+# --------------------------------------------------------------------------
+# GF(2) matrices and small graphs for the tests
+
+
+def random_invertible(n: int, rng) -> F2Matrix:
+    """Uniform-ish invertible n x n matrix by rejection sampling."""
+    mask = (1 << n) - 1
+    while True:
+        m = F2Matrix(n, n, tuple(rng.getrandbits(n) & mask for _ in range(n)))
+        if f2linalg.rank(m) == n:
+            return m
+
+
+def mul_vec(m: F2Matrix, x: int) -> int:
+    """Matrix times column vector: bit i of the result is <row i, x>."""
+    acc = 0
+    for i, r in enumerate(m.bits):
+        acc |= ((r & x).bit_count() & 1) << i
+    return acc
+
+
+def from_edges(n: int, edges) -> srg.Graph:
+    a = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) out of range for {n} vertices")
+        a[i, j] = a[j, i] = True
+    return srg.Graph(n, a)  # rejects loops
+
+
+def complete_graph(n: int) -> srg.Graph:
+    return srg.Graph(n, ~np.eye(n, dtype=bool))
+
+
+def cycle_graph(n: int) -> srg.Graph:
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])

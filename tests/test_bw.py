@@ -4,11 +4,14 @@ The rank-32 tree searches at norm 4 and beyond are marked slow;
 everything else stays under a few seconds.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from bwlab import bw, exlat
+from bwlab import bw, exlat, verify
+from bwlab.exlat import ScaledBasis
 
 
 def test_bw16_shape():
@@ -73,29 +76,129 @@ def test_tower_closes_on_doubled_lattice():
 
 
 def test_similarity16_full_profile():
-    rep = bw.similarity_invariants(
+    assert bw.similarity_invariants(
         exlat.rescale_metric(exlat.dual(bw.bw16()), 2), bw.bw16(), 1,
-        norms=(2, 4, 6, 8))
-    assert rep.det_ok and rep.even_ok and rep.norms_ok and rep.all_ok
-    assert [cb for _, _, cb in rep.norm_counts] == [0, 4320, 61440, 522720]
+        (2, 4, 6, 8))
 
 
 def test_similarity32_norm2_profile():
-    rep = bw.similarity_invariants(bw.bw1(), bw.bw32(), 2, norms=(2,))
-    assert rep.all_ok
+    assert bw.similarity_invariants(bw.bw1(), bw.bw32(), 2, (2,))
+
+
+def _d4_fourfold():
+    # D4^4 in the unit frame: even, det 4^4 = 256 like BW16, but 96 roots
+    rows = []
+    for blk in range(4):
+        o = 4 * blk
+        for i, j, sign in ((0, 1, 1), (0, 1, -1), (1, 2, -1), (2, 3, -1)):
+            row = [0] * 16
+            row[o + i], row[o + j] = 1, sign
+            rows.append(row)
+    return ScaledBasis.from_rows(rows)
 
 
 def test_similarity_detects_mismatch():
-    rep = bw.similarity_invariants(bw.bw16(), bw.bw16(), 2, norms=(2,))
-    assert not rep.det_ok
-    assert not rep.all_ok
+    # wrong determinant
+    assert not bw.similarity_invariants(bw.bw16(), bw.bw16(), 2, (2,))
+    # same determinant and parity, different norm-2 shell
+    d4 = _d4_fourfold()
+    assert exlat.determinant(exlat.gram(d4)) == 256
+    assert not bw.similarity_invariants(d4, bw.bw16(), 1, (2,))
 
 
 def test_similarity_rejects_bad_scale():
     with pytest.raises(ValueError):
-        bw.similarity_invariants(bw.bw16(), bw.bw16(), 0)
+        bw.similarity_invariants(bw.bw16(), bw.bw16(), 0, (2,))
     with pytest.raises(ValueError):
-        bw.similarity_invariants(bw.bw16(), bw.bw16(), Fraction(-1, 2))
+        bw.similarity_invariants(bw.bw16(), bw.bw16(), Fraction(-1, 2), (2,))
+
+
+# --------------------------------------------------------------------------
+# the exact similarity witness phi = 1 + i
+
+
+def _pair_map(b, pairs):
+    """(a, c) -> (a - c, a + c) on the listed coordinate pairs only."""
+    rows = []
+    for r in b.mat:
+        out = list(r)
+        for k, m in pairs:
+            out[k], out[m] = r[k] - r[m], r[k] + r[m]
+        rows.append(out)
+    return exlat.hnf_basis(ScaledBasis.from_rows(rows, b.den, b.frame_scale))
+
+
+def _half_pairs(n):
+    return [(k, k + n // 2) for k in range(n // 2)]
+
+
+def test_phi_doubles_norms_exactly():
+    rng = random.Random(20021)
+    for _ in range(200):
+        n = 2 * rng.randint(1, 16)
+        row = [rng.randint(-9, 9) for _ in range(n)]
+        if not any(row):
+            continue
+        b = ScaledBasis.from_rows([row], rng.choice([1, 2, 4]),
+                                  rng.choice([1, 2, Fraction(1, 3)]))
+        assert exlat.gram(bw.phi(b))[0][0] == 2 * exlat.gram(b)[0][0]
+
+
+def test_phi_is_the_half_pairing():
+    for b in (bw.bw16(), bw.bw32()):
+        assert bw.phi(b) == _pair_map(b, _half_pairs(b.ambient_dim))
+
+
+def test_adjacent_pairing_also_witnesses():
+    for src, dst in ((exlat.dual(bw.bw16()), bw.bw16()),
+                     (bw.bw32(), bw.bw1())):
+        pairs = [(2 * k, 2 * k + 1) for k in range(src.ambient_dim // 2)]
+        assert exlat.lattice_equal(_pair_map(src, pairs), dst)
+
+
+@pytest.mark.parametrize("control", ["identity", "one-pair", "random"])
+def test_phi_controls_fail(control):
+    rng = random.Random(2008)
+    for src, dst in ((exlat.dual(bw.bw16()), bw.bw16()),
+                     (bw.bw32(), bw.bw1())):
+        n = src.ambient_dim
+        if control == "identity":
+            image = src
+        elif control == "one-pair":
+            image = _pair_map(src, _half_pairs(n)[:1])
+        else:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            pairs = list(zip(perm[0::2], perm[1::2]))
+            image = _pair_map(src, pairs)
+        assert not exlat.lattice_equal(image, dst)
+
+
+def test_phi_rejects_odd_dimension():
+    with pytest.raises(ValueError):
+        bw.phi(ScaledBasis.from_rows([[1, 0, 0], [0, 1, 0]]))
+
+
+def test_phi_recursion_builds_bw1():
+    # {(u, u + phi v) : u, v in BW16}: the Barnes-Wall step over Z[i]
+    b, p = bw.bw16(), bw.phi(bw.bw16())
+    den = math.lcm(b.den, p.den)
+    rows = [[x * (den // b.den) for x in r + r] for r in b.mat]
+    rows += [[0] * 16 + [x * (den // p.den) for x in r] for r in p.mat]
+    glued = ScaledBasis.from_rows(rows, den, bw.FRAME)
+    assert exlat.lattice_equal(glued, bw.bw1())
+
+
+def test_fast_similarity_checks_run_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a similarity check ran a tree search")
+
+    monkeypatch.setattr(exlat, "_search", no_search)
+    monkeypatch.setattr(exlat, "_shells", no_search)
+    checks = {c.id: c for c in verify.build_registry()["lattice"]}
+    for cid in ("lattice.similarity16", "lattice.similarity32"):
+        res = verify.run_check(checks[cid])
+        assert res.passed, res.actual
 
 
 @pytest.mark.slow
@@ -142,6 +245,4 @@ def test_bw32_norm2_tree_size(monkeypatch):
 
 @pytest.mark.slow
 def test_similarity32_full_profile():
-    rep = bw.similarity_invariants(bw.bw1(), bw.bw32(), 2, norms=(2, 4))
-    assert rep.all_ok
-    assert [cb for _, _, cb in rep.norm_counts] == [0, 146880]
+    assert bw.similarity_invariants(bw.bw1(), bw.bw32(), 2, (2, 4))

@@ -6,6 +6,8 @@ import pytest
 
 from bwlab import cli, exlat, srg
 
+from . import _oracles
+
 
 def _run(capsys, *argv):
     code = cli.main(list(argv))
@@ -107,7 +109,7 @@ def test_srg_perp_h2_with_edge_file(tmp_path, capsys):
     pairs = [tuple(map(int, line.split()))
              for line in edges.read_text().splitlines()]
     assert len(pairs) == 18
-    rebuilt = srg.from_edges(9, pairs)
+    rebuilt = _oracles.from_edges(9, pairs)
     params = srg.srg_params(rebuilt)
     assert (params.v, params.k, params.lam, params.mu) == (9, 4, 1, 2)
 

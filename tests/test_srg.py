@@ -2,9 +2,12 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from bwlab import f2quad, srg
+
+from . import _oracles
 
 
 def _petersen():
@@ -12,7 +15,7 @@ def _petersen():
     idx = {p: i for i, p in enumerate(pairs)}
     edges = [(idx[a], idx[b]) for a, b in combinations(pairs, 2)
              if not set(a) & set(b)]
-    return srg.from_edges(10, edges)
+    return _oracles.from_edges(10, edges)
 
 
 def test_perp_of_h2_is_srg_9_4_1_2():
@@ -29,27 +32,27 @@ def test_petersen_parameters():
 
 
 def test_pentagon_is_a_conference_graph():
-    p = srg.srg_params(srg.cycle_graph(5))
+    p = srg.srg_params(_oracles.cycle_graph(5))
     assert (p.v, p.k, p.lam, p.mu) == (5, 2, 0, 1)
     assert p.r is None and p.s is None
     assert p.f == p.g == 2
 
 
 def test_complete_graph_rejected():
-    out = srg.srg_params(srg.complete_graph(5))
+    out = srg.srg_params(_oracles.complete_graph(5))
     assert isinstance(out, srg.NotStronglyRegular)
     assert "complete" in out.reason
 
 
 def test_irregular_graph_rejected_with_witness():
-    g = srg.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    g = _oracles.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     out = srg.srg_params(g)
     assert isinstance(out, srg.NotStronglyRegular)
     assert out.reason == "not regular"
 
 
 def test_hexagon_rejected_mu_varies():
-    out = srg.srg_params(srg.cycle_graph(6))
+    out = srg.srg_params(_oracles.cycle_graph(6))
     assert isinstance(out, srg.NotStronglyRegular)
     assert out.reason == "mu varies"
     i, j = out.pair
@@ -58,13 +61,13 @@ def test_hexagon_rejected_mu_varies():
 
 
 def test_disconnected_graph_rejected():
-    g = srg.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    g = _oracles.from_edges(6, [(0, 1), (1, 2), (2, 0),
+                                (3, 4), (4, 5), (5, 3)])
     out = srg.srg_params(g)
     assert isinstance(out, srg.NotStronglyRegular)
     assert out.reason == "not connected"
 
 
-@pytest.mark.slow
 def test_perp_of_h5_is_certified_strongly_regular():
     p = srg.srg_params(srg.perp_graph(f2quad.hyperbolic(5)))
     assert isinstance(p, srg.SrgParams)
@@ -125,16 +128,21 @@ def test_feasible_pairs_input_validation():
 
 
 def test_from_edges_validation():
+    # the loop is caught by srg.Graph itself, as is a one-way edge
     with pytest.raises(ValueError):
-        srg.from_edges(3, [(0, 0)])
+        _oracles.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
-        srg.from_edges(3, [(0, 5)])
+        _oracles.from_edges(3, [(0, 5)])
+    one_way = np.zeros((3, 3), dtype=bool)
+    one_way[0, 1] = True
+    with pytest.raises(ValueError):
+        srg.Graph(3, one_way)
 
 
 def test_edges_file_roundtrip(tmp_path):
     g = _petersen()
     path = tmp_path / "g.edges"
     srg.write_edges(g, path)
-    back = srg.from_edges(10, [tuple(map(int, line.split()))
+    back = _oracles.from_edges(10, [tuple(map(int, line.split()))
                                for line in path.read_text().splitlines()])
     assert (back.adjacency == g.adjacency).all()

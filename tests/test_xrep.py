@@ -54,9 +54,10 @@ def test_block_double_is_reducible():
     assert xrep.char_norm(doubled) == 4
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(xrep, "CLOSURE_CAP", 10)
     with pytest.raises(xrep.ClosureCapError):
-        xrep.closure(xrep.extraspecial_plus(3), cap=10)
+        xrep.closure(xrep.extraspecial_plus(3))
 
 
 def test_extraspecial_range():
