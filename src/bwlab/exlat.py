@@ -34,7 +34,8 @@ from sympy.polys.matrices.normalforms import invariant_factors
 # confirmed with integer arithmetic afterwards, so the slack only has
 # to cover float rounding, never correctness
 ENUM_MARGIN = 1e-6
-_CHUNK = 1 << 17
+# nodes per search stage: 2^17 peaked at 127 MiB for BW32 at norm 4
+_CHUNK = 1 << 13
 # minimum_norm searches no further than this norm
 SEARCH_LIMIT = 64
 
@@ -298,17 +299,19 @@ def _frame_norm(b: ScaledBasis, n) -> Fraction:
     return Fraction(n) * b.den * b.den / b.frame_scale
 
 
-def _expand_stage(L: np.ndarray, i: int, C, PN, FREE, r2: float):
+def _expand_stage(L: np.ndarray, i: int, C, PN, free: bool, r2: float):
     """One tree layer, vectorized over all live prefixes: C holds the
     centre terms of 0..i.  Returns each child's coordinate t and parent
-    index idx, with the children's C (terms of 0..i-1), PN and FREE."""
+    index idx, with the children's C (terms of 0..i-1) and PN.  If free,
+    row 0 is the all-zero prefix and its t = 0 child comes first."""
     ell = L[i, i]
     c = C[:, i]
     rem = np.maximum(r2 - PN, 0.0)
     s = np.sqrt(rem)
     lo = np.ceil((-s - c) / ell - 1e-9).astype(np.int64)
     hi = np.floor((s - c) / ell + 1e-9).astype(np.int64)
-    lo = np.where(FREE, np.maximum(lo, 0), lo)
+    if free:
+        lo[0] = max(lo[0], 0)
     cnt = np.maximum(hi - lo + 1, 0)
     total = int(cnt.sum())
     if total == 0:
@@ -320,25 +323,27 @@ def _expand_stage(L: np.ndarray, i: int, C, PN, FREE, r2: float):
     newPN = PN[idx] + comp * comp
     newC = C[idx, :i]
     newC += t[:, None] * L[i, :i]
-    newFREE = FREE[idx] & (t == 0)
-    return t, idx, newC, newPN, newFREE
+    return t, idx, newC, newPN
 
 
 def _search(b: ScaledBasis, T: int, keep: bool = False):
-    """One depth-first walk of the pruned tree out to the integer radius T.
+    """Depth-first over chunks of the pruned tree out to the integer radius T.
 
     Returns the histogram {t: count} of every exact integer norm
     0 < t <= T (norms |x . mat|^2 in lll_reduce(b)'s integer frame) and,
     when keep is set, a list of arrays of den-scaled frame coordinates
     holding one row of norm exactly T from each pair {v, -v}, in no
-    particular order.  The float radius is
-    T + ENUM_MARGIN, so a vector of norm t <= T passes every pruning test
-    with at least the slack of a norm-T vector; each leaf's norm is then
-    confirmed in int64.  The root is free (the leading nonzero coordinate
-    is positive), so each leaf stands for the pair {v, -v}.  A stack entry
-    holds one (t, idx) pair per set level, coordinates r-1 downwards,
-    where idx points into the level above; a chunk split slices only the
-    newest level and shares its parents.  Leaves rebuild their
+    particular order.  The float radius is T + ENUM_MARGIN, so a vector
+    of norm t <= T passes every pruning test with at least the slack of
+    a norm-T vector; each leaf's norm is then confirmed in int64.  The
+    root is free (the leading nonzero coordinate is positive), so each
+    leaf stands for the pair {v, -v}.  A stack entry holds one (t, idx)
+    pair per set level, coordinates r-1 downwards, where idx points into
+    the level above.  A level of more than _CHUNK nodes is split into
+    chunks of _CHUNK that share its parents, so a stage holds at most
+    _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the least
+    Cholesky diagonal entry: traced peaks of about 7 MiB for BW16 out to
+    norm 8 and 17 MiB for BW32 out to norm 4.  Leaves rebuild their
     coordinates X by walking idx upwards, then V = X . mat.
     """
     red = lll_reduce(b)
@@ -352,22 +357,22 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
     r2 = float(T) + ENUM_MARGIN
     hist: dict[int, int] = {}
     found = []
-    stack = [(r, (), np.zeros((1, r)), np.zeros(1), np.ones(1, dtype=bool))]
+    stack = [(r, (), np.zeros((1, r)), np.zeros(1), True)]
     while stack:
-        i, levels, C, PN, FREE = stack.pop()
+        i, levels, C, PN, free = stack.pop()
         while i > 0:
-            out = _expand_stage(L, i - 1, C, PN, FREE, r2)
+            out = _expand_stage(L, i - 1, C, PN, free, r2)
             if out is None:
                 levels = None
                 break
-            t, idx, C, PN, FREE = out
+            t, idx, C, PN = out
             levels += ((t, idx),)
             i -= 1
             if len(t) > _CHUNK and i > 0:
                 for k in range(0, len(t), _CHUNK):
                     sl = slice(k, k + _CHUNK)
                     stack.append((i, levels[:-1] + ((t[sl], idx[sl]),),
-                                  C[sl], PN[sl], FREE[sl]))
+                                  C[sl], PN[sl], free and k == 0))
                 levels = None
                 break
         if levels is None:

@@ -1,6 +1,7 @@
 """The rank-16 and rank-32 constructions and the index-2^16 tower step.
 
-The rank-32 tree searches at norm 4 and beyond are marked slow;
+The two rank-32 tree searches, BW32 out to norm 4 and bw1 out to
+norm 8, are marked slow;
 everything else stays under a few seconds.
 """
 

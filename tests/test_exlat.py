@@ -7,6 +7,7 @@ never touches the package's search kernel.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -340,6 +341,8 @@ def test_chunk_split_matches_unchunked_and_box_oracle(monkeypatch):
                               _oracles.box_norm_vectors(b, step * mult)))
     bw16 = exlat.hnf_basis(bw.bw16())
     cases.append((bw16, int(exlat._frame_norm(bw16, 6)), 1, None))
+    # the reference never splits: BW16 at norm 6 outgrows the default chunk
+    monkeypatch.setattr(exlat, "_CHUNK", 1 << 30)
     whole = [_both_signs(bb, T) for bb, T, _, _ in cases]
     monkeypatch.setattr(exlat, "_CHUNK", 7)
     for (bb, T, k, want), (hist, rows) in zip(cases, whole):
@@ -347,6 +350,77 @@ def test_chunk_split_matches_unchunked_and_box_oracle(monkeypatch):
         if want is not None:
             assert [tuple(k * x for x in r) for r in rows] == want
     assert len(cases) > 40 and len(whole[-1][1]) == 61440
+
+
+def _r4(n):
+    """Jacobi: the number of x in Z^4 with |x|^2 = n is 8 * sum of the
+    divisors d of n with 4 not dividing d."""
+    return 8 * sum(d for d in range(1, n + 1) if n % d == 0 and d % 4)
+
+
+def _scrambled_kz4(k, rng):
+    """A basis of k*Z^4 from row operations that keep U's entries in
+    {-1, 0, 1}, so every entry of k*U is at most k in size."""
+    U = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(40):
+        i, j = rng.sample(range(4), 2)
+        sign = rng.choice((1, -1))
+        row = [a + sign * b for a, b in zip(U[i], U[j])]
+        if max(map(abs, row)) <= 1:
+            U[i] = row
+    return ScaledBasis.from_rows([[k * x for x in r] for r in U])
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_large_radius_matches_jacobi_four_squares(monkeypatch, chunk):
+    # radii up to the kernel's 2^40 limit, where the float slack
+    # ENUM_MARGIN is far below one ulp of the radius
+    if chunk is not None:
+        monkeypatch.setattr(exlat, "_CHUNK", chunk)
+    rng = random.Random(30)
+    radii = []
+    for k in (1, 3, 1000, (1 << 16) + 1, (1 << 18) - 1, 1 << 19,
+              (1 << 19) + 1):
+        b = _scrambled_kz4(k, rng)
+        assert max(abs(x) for r in b.mat for x in r) <= 1 << 20
+        bb = exlat.hnf_basis(b)
+        assert bb.den == 1 and exlat.determinant(exlat.gram(bb)) == k ** 8
+        top = min(24, (1 << 40) // (k * k))
+        for n in sorted({1, 2, 3, top}):
+            if n > top:
+                continue
+            hist, _ = exlat._search(bb, k * k * n)
+            assert hist == {k * k * m: _r4(m) for m in range(1, n + 1)}
+            radii.append(k * k * n)
+    assert len(radii) == 27 and max(radii) == 1 << 40
+
+
+def _search_peak_bytes(b, n):
+    """tracemalloc peak of one uncached search of b out to norm n."""
+    bb = exlat.hnf_basis(b)
+    T = int(exlat._frame_norm(bb, n))
+    exlat.lll_reduce(bb)  # cached, so the reduction is not traced
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        exlat._search(bb, T)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_bw16_norm8_search_memory():
+    # one stage holds at most _CHUNK parents and their children
+    assert _search_peak_bytes(bw.bw16(), 8) <= 16 << 20
+
+
+@pytest.mark.slow
+def test_bw32_norm4_search_memory():
+    assert _search_peak_bytes(bw.bw32(), 4) <= 32 << 20
 
 
 def test_count_collect_and_shell_counts_agree():
