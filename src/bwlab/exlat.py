@@ -20,15 +20,13 @@ bases, so equality is a tuple comparison.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from sympy import QQ, ZZ
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.normalforms import invariant_factors
 
 # exact float-bound slack on the squared-norm radius; candidates are
 # confirmed with integer arithmetic afterwards, so the slack only has
@@ -161,9 +159,37 @@ def gram(b: ScaledBasis) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def _zz(rows) -> DomainMatrix:
-    """Integer rows as a DomainMatrix over ZZ (fraction-free kernels)."""
-    return DomainMatrix.from_list([[int(x) for x in r] for r in rows], ZZ)
+def _gram_rows(a, b) -> list[list[int]]:
+    """The integer matrix a . b^T of two lists of integer rows."""
+    return [[sum(map(operator.mul, u, v)) for v in b] for u in a]
+
+
+def _solve(A, B) -> tuple[list[list[int]] | None, int]:
+    """Bareiss fraction-free Gauss-Jordan elimination of [A | B].
+
+    Returns (X, d) with A . X = d . B exactly and d = det A, signed; when
+    A is singular, (None, 0).  Every intermediate entry is a minor of
+    [A | B], so each division is exact.
+    """
+    n = len(A)
+    m = [[int(x) for x in a] + [int(x) for x in b] for a, b in zip(A, B)]
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return None, 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        rk = m[k]
+        p = rk[k]
+        for i in range(n):
+            f = m[i][k]
+            if i != k and (f or p != prev):
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], rk)]
+        prev = p
+    # the row swaps leave X alone and flip the sign of the pivot
+    return [[sign * x for x in row[n:]] for row in m], sign * prev
 
 
 def determinant(g) -> Fraction:
@@ -172,8 +198,9 @@ def determinant(g) -> Fraction:
         raise ValueError("gram matrix not square")
     rows = [[Fraction(x) for x in row] for row in g]
     den = math.lcm(*(x.denominator for row in rows for x in row))
-    return Fraction(int(_zz([[x * den for x in row] for row in rows]).det()),
-                    den ** n)
+    d = _solve([[x.numerator * (den // x.denominator) for x in row]
+                for row in rows], [()] * n)[1]
+    return Fraction(d, den ** n)
 
 
 def is_even(g) -> bool:
@@ -195,15 +222,32 @@ def _coords_in(outer: ScaledBasis, rows: tuple[tuple[int, ...], ...],
     Returns integer numerators and one positive common denominator.
     """
     ob = hnf_basis(outer)
-    O, W = _zz(ob.mat), _zz(rows)
-    num, den = (O * O.transpose()).solve_den(O * W.transpose())
-    # confirm the rows really lie in the span
-    if num.transpose() * O != W * den:
+    X, d = _solve(_gram_rows(ob.mat, ob.mat), _gram_rows(ob.mat, rows))
+    # d = det of a Gram matrix of independent rows, so d > 0; confirm the
+    # rows really lie in the span
+    coords = list(zip(*X))
+    if _gram_rows(coords, list(zip(*ob.mat))) \
+            != [[d * x for x in w] for w in rows]:
         raise ContainmentError("vector outside the outer lattice's span")
-    sign = 1 if den > 0 else -1
-    coords = [[sign * ob.den * int(x) for x in row]
-              for row in num.transpose().to_list()]
-    return coords, abs(int(den)) * row_den
+    return [[ob.den * x for x in c] for c in coords], d * row_den
+
+
+def _invariant_factors(rows) -> tuple[int, ...]:
+    """Smith invariant factors d_1 | d_2 | ... of a nonempty integer
+    matrix: min(rows, columns) of them, each >= 0, zeros last.
+
+    Row and column HNFs alternate until every row has one nonzero entry;
+    then gcd and lcm of pairs turn those entries into the factors.
+    """
+    a = hnf_int_rows(rows)
+    while any(sum(1 for x in r if x) > 1 for r in a):
+        a = hnf_int_rows([list(c) for c in zip(*a)])
+    d = sorted(x for r in a for x in r if x)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d) + (0,) * (min(len(rows), len(rows[0])) - len(d))
 
 
 def quotient_invariants(outer: ScaledBasis, inner: ScaledBasis) -> tuple[int, ...]:
@@ -221,9 +265,8 @@ def quotient_invariants(outer: ScaledBasis, inner: ScaledBasis) -> tuple[int, ..
         raise ContainmentError("inner lattice not contained in outer")
     if len(coords) != len(hnf_basis(outer).mat):
         raise ContainmentError("inner lattice has smaller rank than outer")
-    x_int = _zz([[x // den for x in row] for row in coords])
-    facs = [abs(int(d)) for d in invariant_factors(x_int)]
-    if any(d == 0 for d in facs):
+    facs = _invariant_factors([[x // den for x in row] for row in coords])
+    if 0 in facs:
         raise ContainmentError("inner lattice has smaller rank than outer")
     return tuple(d for d in facs if d != 1)
 
@@ -242,12 +285,10 @@ def dual(b: ScaledBasis) -> ScaledBasis:
     """
     bb = hnf_basis(b)
     fs = bb.frame_scale
-    M = _zz(bb.mat)
-    inv, d = (M * M.transpose()).inv_den()
-    sign = 1 if d > 0 else -1
-    rows = [[sign * bb.den * fs.denominator * int(x) for x in row]
-            for row in (inv * M).to_list()]
-    return hnf_basis(ScaledBasis.from_rows(rows, abs(int(d)) * fs.numerator, fs))
+    # d > 0, as in _coords_in
+    X, d = _solve(_gram_rows(bb.mat, bb.mat), bb.mat)
+    rows = [[bb.den * fs.denominator * x for x in row] for row in X]
+    return hnf_basis(ScaledBasis.from_rows(rows, d * fs.numerator, fs))
 
 
 def direct_sum(a: ScaledBasis, b: ScaledBasis) -> ScaledBasis:
@@ -278,14 +319,70 @@ def rescale_metric(b: ScaledBasis, factor) -> ScaledBasis:
 
 
 # --------------------------------------------------------------------------
-# LLL (delta = 9/10), exact integer arithmetic via sympy's kernel
+# LLL (delta = 9/10) in exact integer arithmetic
+
+def _lll(rows) -> list[list[int]]:
+    """LLL-reduced basis of independent integer rows at delta = 9/10.
+
+    The all-integer LLL of Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7: d[i] is the Gram determinant of rows
+    0..i-1 and lam[k][j] = d[j+1] mu[k][j].  Its steps follow sympy's
+    DomainMatrix.lll, so the reduced basis is the same: reduce (k, k-1)
+    by round(mu), halves up, only if |mu| > 1/2; if then the Lovasz test
+    (>=) holds, reduce (k, l) for l = k-2 .. 0 and advance, else swap and
+    set k = max(k-1, 1).  Raises ValueError on dependent rows.
+    """
+    b = [list(r) for r in rows]
+    m = len(b)
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1):
+            u = sum(map(operator.mul, b[i], b[j]))
+            for l in range(j):
+                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+        if d[i + 1] == 0:
+            raise ValueError("linearly dependent rows")
+
+    def reduce(k, l):
+        dl = d[l + 1]
+        if 2 * abs(lam[k][l]) > dl:
+            q = (2 * lam[k][l] + dl) // (2 * dl)
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * dl
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k = 1
+    while k < m:
+        reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 10 * d[k + 1] * d[k - 1] >= 9 * d[k] * d[k] - 10 * lk * lk:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, m):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    return b
+
 
 @lru_cache(maxsize=64)
 def lll_reduce(b: ScaledBasis) -> ScaledBasis:
     bb = hnf_basis(b)
-    red = _zz(bb.mat).lll(delta=QQ(9, 10)).to_list()
-    rows = tuple(tuple(int(x) for x in r) for r in red)
-    return ScaledBasis(rows, bb.den, bb.frame_scale)
+    return ScaledBasis(tuple(map(tuple, _lll(bb.mat))), bb.den, bb.frame_scale)
 
 
 # --------------------------------------------------------------------------

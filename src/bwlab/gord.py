@@ -8,12 +8,75 @@ isometry search in f2quad.isometry_counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-import sympy
+# the first 13 primes: trial divisors and Miller-Rabin bases
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _isprime(n: int) -> bool:
+    """Trial division by _BASES, then Miller-Rabin to each of them.
+
+    A proof for n < 3317044064679887385961981 (about 3.3 * 10^24): no
+    composite below it is a strong pseudoprime to all of the first 13
+    prime bases (Sorenson and Webster, Math. Comp. 86 (2017)).  Above it
+    the answer is a strong probable prime.
+    """
+    if n < 2:
+        return False
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    r = (n - 1) >> s
+    for a in _BASES:
+        x = pow(a, r, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the composite n with no factor in _BASES:
+    Pollard's rho, x -> x^2 + c for c = 1, 2, ..., with Floyd's cycle
+    search."""
+    for c in itertools.count(1):
+        x, y, g = 2, 2, 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
+
+
+def _factorint(n: int) -> dict[int, int]:
+    """{prime: exponent} of the positive integer n, primes ascending."""
+    fac: dict[int, int] = {}
+    for p in _BASES:
+        while n % p == 0:
+            fac[p] = fac.get(p, 0) + 1
+            n //= p
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if _isprime(m):
+            fac[m] = fac.get(m, 0) + 1
+        else:
+            f = _rho(m)
+            rest += [f, m // f]
+    return dict(sorted(fac.items()))
 
 
 @dataclass(frozen=True)
@@ -29,7 +92,7 @@ class FactoredInteger:
             raise ValueError("primes must be ascending and distinct")
         if any(e < 1 for _, e in self.factors):
             raise ValueError("exponents must be positive")
-        if any(not sympy.isprime(p) for p, _ in self.factors):
+        if any(not _isprime(p) for p, _ in self.factors):
             raise ValueError("non-prime base in factorization")
 
     @staticmethod
@@ -44,9 +107,7 @@ class FactoredInteger:
     def from_int(n: int) -> "FactoredInteger":
         if n < 1:
             raise ValueError("only positive integers")
-        fac = sympy.factorint(n)
-        return FactoredInteger._trusted(
-            tuple(sorted((int(p), int(e)) for p, e in fac.items())))
+        return FactoredInteger._trusted(tuple(_factorint(n).items()))
 
     @property
     def value(self) -> int:
@@ -98,11 +159,11 @@ def _fi(n: int) -> FactoredInteger:
 def _check_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError("q must be a prime power >= 2")
-    fac = sympy.factorint(q)
+    fac = _factorint(q)
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     ((p, e),) = fac.items()
-    return int(p), int(e)
+    return p, e
 
 
 def omega_plus_order(two_m: int, q: int) -> FactoredInteger:
@@ -131,7 +192,7 @@ def e6_order(q: int) -> FactoredInteger:
 
 
 def sylow_part(n: FactoredInteger, p: int) -> FactoredInteger:
-    if not sympy.isprime(p):
+    if not _isprime(p):
         raise ValueError("p must be prime")
     e = n.valuation(p)
     return FactoredInteger(((p, e),) if e else ())

@@ -15,8 +15,8 @@ the rank-32 kissing number and minimum share one norm-4 search with the
 slow similarity32-full profile.  Generation by the norm-4 vectors is
 proved by the LLL basis rows, and the two fast similarities by the
 exact map phi = 1 + i, all with no search.  The exact linear algebra
-(duals, quotients, determinants) is fraction-free DomainMatrix
-arithmetic.
+(duals, quotients, determinants) is fraction-free elimination in
+Python integers.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import ZZ
-from sympy.polys.matrices import DomainMatrix
+
+from . import exlat
 
 CLOSURE_CAP = 1 << 13  # closure gives up past this many elements
 
@@ -37,7 +37,7 @@ class MatrixGroup:
                     isinstance(r, seq) and len(r) == self.dim for r in g)):
                 raise ValueError("generator shape mismatch")
         for g in self.generators:
-            if DomainMatrix.from_list(g, ZZ).det() == 0:
+            if exlat.determinant(g) == 0:
                 raise ValueError("singular generator")
 
     @staticmethod

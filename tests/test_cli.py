@@ -1,6 +1,11 @@
-"""End-to-end command tests driving cli.main in-process."""
+"""End-to-end command tests driving cli.main in-process, and one import
+check in a fresh interpreter."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +30,18 @@ def test_verify_paper_fast_json_and_report_file(tmp_path, capsys):
     assert printed["pass"] is True
     assert len(printed["checks"]) == 52
     assert json.loads(out.read_text()) == printed
+
+
+def test_import_loads_neither_sympy_nor_mpmath():
+    # a fresh interpreter, so that the tests' own sympy import is not seen;
+    # importing sympy costs about 0.5 s of start-up and 30 MB
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, bwlab.cli; "
+            "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_paper_text_mode(capsys):

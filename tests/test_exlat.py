@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from sympy import Matrix
+from sympy import QQ, ZZ, Matrix
 from sympy.matrices.normalforms import hermite_normal_form
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
 
 from bwlab import bw, exlat
 from bwlab.exlat import ContainmentError, ScaledBasis
@@ -100,6 +102,59 @@ def test_determinant_matches_float_estimate():
         approx = np.linalg.det(M @ M.T) \
             * float(b.frame_scale) ** len(b.mat) / float(b.den) ** (2 * len(b.mat))
         assert abs(float(exact) - approx) < 1e-6 * max(1.0, abs(approx))
+
+
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+
+
+def test_solve_matches_sympy_and_is_exact():
+    # A . X = d . B with d = det A, signed, on plain random, row-permuted
+    # triangular (forced row swaps) and rank-deficient matrices
+    rng = random.Random(31)
+    singular = 0
+    for trial in range(90):
+        n, p = rng.randint(1, 7), rng.randint(0, 3)
+        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 1:
+            A = [[rng.choice((-3, -2, -1, 1, 2, 3)) if i == j
+                  else rng.randint(-4, 4) * (j > i) for j in range(n)]
+                 for i in range(n)]
+            rng.shuffle(A)
+        elif trial % 3 == 2 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            A[i] = [c * x for x in A[j]]
+        B = [[rng.randint(-5, 5) for _ in range(p)] for _ in range(n)]
+        X, d = exlat._solve(A, B)
+        assert d == DomainMatrix.from_list(A, ZZ).det()
+        if d == 0:
+            singular += 1
+            assert X is None
+        else:
+            assert _mul(A, X) == [[d * x for x in row] for row in B]
+    assert exlat._solve([[0, 0], [0, 0]], [[1], [2]]) == (None, 0)
+    assert singular >= 25
+
+
+def test_invariant_factors_match_sympy():
+    rng = random.Random(32)
+    for trial in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if trial % 3 == 1 and m > 1:  # rank-deficient, so a zero factor
+            A[0] = [2 * x - y for x, y in zip(A[1], A[-1])]
+            A[-1] = A[1][:]
+        elif trial % 3 == 2:  # a sublattice with a large quotient
+            A = [[rng.randint(-2, 2) * 6 for _ in range(n)] for _ in range(m)]
+        want = tuple(abs(int(x)) for x in
+                     invariant_factors(DomainMatrix.from_list(A, ZZ)))
+        assert exlat._invariant_factors(A) == want
+    assert exlat._invariant_factors([[2, 0], [0, 0]]) == (2, 0)
+    assert exlat._invariant_factors([[0, 0, 0]]) == (0,)
+    # a smaller-rank inner lattice still raises ContainmentError
+    with pytest.raises(ContainmentError, match="smaller rank"):
+        exlat.quotient_invariants(_zn(2), ScaledBasis.from_rows([[2, 0]], 1))
 
 
 def test_half_integer_gram_not_even():
@@ -226,6 +281,38 @@ def test_lll_preserves_lattice_and_shortens():
             assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
             if i:
                 assert norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]
+
+
+def test_lll_matches_sympy_row_for_row():
+    # the search tree, its node counts and the generated_by_norm_vectors
+    # witness all depend on the reduced basis, not only on the lattice
+    rng = random.Random(27)
+    delta = QQ(9, 10)
+    for b in (bw.bw16(), exlat.dual(bw.bw16()), bw.bw32(), bw.bw1()):
+        bb = exlat.hnf_basis(b)
+        want = DomainMatrix.from_list(list(bb.mat), ZZ).lll(delta=delta)
+        assert [list(r) for r in exlat.lll_reduce(bb).mat] == want.to_list()
+        for _ in range(4):
+            rows = [list(r) for r in _oracles.shuffled_basis(bb, rng).mat]
+            rng.shuffle(rows)
+            want = DomainMatrix.from_list(rows, ZZ).lll(delta=delta)
+            assert exlat._lll(rows) == want.to_list()
+
+
+def test_lll_rejects_dependent_rows():
+    for rows in ([[1, 0], [2, 0]], [[0, 0], [1, 0]],
+                 [[1, 2, 3], [4, 5, 6], [5, 7, 9]]):
+        with pytest.raises(ValueError, match="dependent"):
+            exlat._lll(rows)
+
+
+@pytest.mark.parametrize("name, norm, hist", [
+    ("bw16", 8, {8: 4320, 12: 61440, 16: 522720}),
+    pytest.param("bw32", 4, {32: 146880}, marks=pytest.mark.slow),
+])
+def test_search_histograms_on_the_reduced_basis(name, norm, hist):
+    bb = exlat.hnf_basis(getattr(bw, name)())
+    assert dict(exlat._shells(bb, int(exlat._frame_norm(bb, norm)))) == hist
 
 
 # --------------------------------------------------------------------------

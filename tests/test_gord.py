@@ -1,6 +1,9 @@
 """Factored group order arithmetic and dotted shape strings."""
 
+import random
+
 import pytest
+import sympy
 
 from bwlab import gord
 from bwlab.gord import FactoredInteger
@@ -9,6 +12,26 @@ from bwlab.gord import FactoredInteger
 def test_from_int_roundtrip():
     for n in (1, 2, 12, 360, 139503, 2 ** 20 * 3 ** 5):
         assert FactoredInteger.from_int(n).value == n
+
+
+def test_factorint_and_isprime_match_sympy():
+    rng = random.Random(41)
+    prime_powers = [q for q in range(2, 65) if len(sympy.factorint(q)) == 1]
+    cases = list(range(1, 20001))
+    cases += [q ** e - 1 for q in prime_powers for e in range(1, 13)]
+    cases += [rng.getrandbits(k - 1) | 1 << (k - 1)
+              for k in (rng.randint(20, 62) for _ in range(300))]
+    for n in cases:
+        assert gord._factorint(n) == sympy.factorint(n), n
+        assert gord._isprime(n) == sympy.isprime(n), n
+
+
+def test_isprime_needs_all_thirteen_bases():
+    # the least strong pseudoprime to the bases 2..37 (Sorenson and
+    # Webster); base 41, the 13th prime, shows it composite
+    assert not gord._isprime(318665857834031151167461)
+    assert gord._isprime(2 ** 61 - 1) and gord._isprime(2 ** 89 - 1)
+    assert not gord._isprime((2 ** 31 - 1) * (2 ** 61 - 1))
 
 
 def test_from_int_rejects_nonpositive():
