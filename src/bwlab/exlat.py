@@ -266,8 +266,6 @@ def quotient_invariants(outer: ScaledBasis, inner: ScaledBasis) -> tuple[int, ..
     if len(coords) != len(hnf_basis(outer).mat):
         raise ContainmentError("inner lattice has smaller rank than outer")
     facs = _invariant_factors([[x // den for x in row] for row in coords])
-    if 0 in facs:
-        raise ContainmentError("inner lattice has smaller rank than outer")
     return tuple(d for d in facs if d != 1)
 
 
@@ -397,12 +395,13 @@ def _frame_norm(b: ScaledBasis, n) -> Fraction:
 
 
 def _expand_stage(L: np.ndarray, i: int, C, PN, free: bool, r2: float):
-    """One tree layer, vectorized over all live prefixes: C holds the
-    centre terms of 0..i.  Returns each child's coordinate t and parent
-    index idx, with the children's C (terms of 0..i-1) and PN.  If free,
-    row 0 is the all-zero prefix and its t = 0 child comes first."""
+    """One tree layer, vectorized over all live prefixes.  C is level-major,
+    shape (i+1, nodes), row j the centre terms of coordinate j.  Returns
+    each child's coordinate t and parent index idx, with the children's C
+    (rows 0..i-1) and PN.  If free, column 0 is the all-zero prefix and
+    its t = 0 child comes first."""
     ell = L[i, i]
-    c = C[:, i]
+    c = C[i]
     rem = np.maximum(r2 - PN, 0.0)
     s = np.sqrt(rem)
     lo = np.ceil((-s - c) / ell - 1e-9).astype(np.int64)
@@ -414,12 +413,11 @@ def _expand_stage(L: np.ndarray, i: int, C, PN, free: bool, r2: float):
     if total == 0:
         return None
     idx = np.repeat(np.arange(len(cnt)), cnt)
-    starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-    t = lo[idx] + (np.arange(total) - starts[idx])
+    t = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(total)
     comp = c[idx] + t * ell
     newPN = PN[idx] + comp * comp
-    newC = C[idx, :i]
-    newC += t[:, None] * L[i, :i]
+    newC = np.take(C[:i], idx, axis=1)
+    newC += L[i, :i, None] * t
     return t, idx, newC, newPN
 
 
@@ -436,9 +434,11 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
     root is free (the leading nonzero coordinate is positive), so each
     leaf stands for the pair {v, -v}.  A stack entry holds one (t, idx)
     pair per set level, coordinates r-1 downwards, where idx points into
-    the level above.  A level of more than _CHUNK nodes is split into
-    chunks of _CHUNK that share its parents, so a stage holds at most
-    _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the least
+    the level above, and the centre terms C of its nodes, level-major
+    (the root's are zeros((r, 1))).  A level of more than _CHUNK nodes is
+    split into column chunks C[:, sl] that share its parents, and only
+    the first holds the all-zero prefix, in column 0.  So a stage holds
+    at most _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the least
     Cholesky diagonal entry: traced peaks of about 7 MiB for BW16 out to
     norm 8 and 17 MiB for BW32 out to norm 4.  Leaves rebuild their
     coordinates X by walking idx upwards, then V = X . mat.
@@ -454,7 +454,7 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
     r2 = float(T) + ENUM_MARGIN
     hist: dict[int, int] = {}
     found = []
-    stack = [(r, (), np.zeros((1, r)), np.zeros(1), True)]
+    stack = [(r, (), np.zeros((r, 1)), np.zeros(1), True)]
     while stack:
         i, levels, C, PN, free = stack.pop()
         while i > 0:
@@ -469,7 +469,7 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
                 for k in range(0, len(t), _CHUNK):
                     sl = slice(k, k + _CHUNK)
                     stack.append((i, levels[:-1] + ((t[sl], idx[sl]),),
-                                  C[sl], PN[sl], free and k == 0))
+                                  C[:, sl], PN[sl], free and k == 0))
                 levels = None
                 break
         if levels is None:

@@ -8,7 +8,7 @@ end exist only to feed the tests.
 """
 
 from fractions import Fraction
-from math import ceil, sqrt
+from math import ceil, floor, sqrt
 
 import numpy as np
 
@@ -19,14 +19,14 @@ from bwlab.f2linalg import F2Matrix
 MAX_BOX = 2_000_000
 
 
-def box_norm_vectors(b: ScaledBasis, n) -> list[tuple[int, ...]]:
-    """All lattice vectors of exact norm n, found by enumerating a box.
+def _box(b: ScaledBasis, n):
+    """The rows V = X . mat over a box of coefficients X that holds every
+    vector of norm <= n, their exact integer norms S = |V|^2, and n in
+    those units, n * den^2 / frame_scale.
 
     The box radius comes from the smallest Gram eigenvalue: any x with
     x G x^T <= N satisfies |x_i| <= sqrt(N / lambda_min).  Uses numpy
     eigvalsh plus exact integer norms, nothing from the package kernel.
-    Rows are integer coordinates in the ambient frame scaled by b.den,
-    sorted lexicographically.
     """
     n = Fraction(n)
     M = np.array(b.mat, dtype=np.int64)
@@ -42,12 +42,28 @@ def box_norm_vectors(b: ScaledBasis, n) -> list[tuple[int, ...]]:
     axes = [np.arange(-radius, radius + 1)] * rank
     X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, rank)
     V = X @ M
-    S = (V * V).sum(axis=1)
-    # norm n <=> frame * S / den^2 == n, compared in exact integers
-    target = n * b.den * b.den / b.frame_scale
+    return V, (V * V).sum(axis=1), n * b.den * b.den / b.frame_scale
+
+
+def box_norm_vectors(b: ScaledBasis, n) -> list[tuple[int, ...]]:
+    """All lattice vectors of exact norm n, found by enumerating a box.
+
+    Rows are integer coordinates in the ambient frame scaled by b.den,
+    sorted lexicographically.
+    """
+    V, S, target = _box(b, n)
     if target.denominator != 1:
         return []
     return sorted(tuple(int(x) for x in row) for row in V[S == int(target)])
+
+
+def box_norm_histogram(b: ScaledBasis, n) -> dict[int, int]:
+    """{t: number of lattice vectors with integer norm t} for 0 < t <= n
+    in the units of _box, by the same box enumeration."""
+    V, S, target = _box(b, n)
+    inside = S[(S > 0) & (S <= floor(target))]
+    norms, counts = np.unique(inside, return_counts=True)
+    return dict(zip(norms.tolist(), counts.tolist()))
 
 
 def box_norm_count(b: ScaledBasis, n) -> int:

@@ -5,6 +5,7 @@ _oracles, which bounds coefficients through an eigenvalue estimate and
 never touches the package's search kernel.
 """
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -315,6 +316,45 @@ def test_search_histograms_on_the_reduced_basis(name, norm, hist):
     assert dict(exlat._shells(bb, int(exlat._frame_norm(bb, norm)))) == hist
 
 
+def _level_counts(monkeypatch, b, n):
+    """Children per tree level, r-1 down to 0, of one uncached search of
+    b out to norm n."""
+    levels = {}
+    expand = exlat._expand_stage
+
+    def counted(L, i, *args):
+        out = expand(L, i, *args)
+        if out is not None:
+            levels[i] = levels.get(i, 0) + len(out[0])
+        return out
+
+    monkeypatch.setattr(exlat, "_expand_stage", counted)
+    bb = exlat.hnf_basis(b)
+    exlat._search(bb, int(exlat._frame_norm(bb, n)))
+    return [levels[i] for i in sorted(levels, reverse=True)]
+
+
+def test_bw16_tree_level_by_level(monkeypatch):
+    # the pruned tree itself: a kernel change that moved one boundary
+    # node, by reordering a float operation, would move these counts
+    levels = _level_counts(monkeypatch, bw.bw16(), 8)
+    assert levels == [5, 22, 91, 362, 1172, 3213, 7786, 15553, 27314, 44727,
+                      57017, 86725, 136207, 184015, 242118, 294241]
+    assert sum(levels) == 1100568
+    levels = _level_counts(monkeypatch, bw.bw16(), 6)
+    assert len(levels) == 16 and sum(levels) == 164923
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, norm, nodes", [
+    ("bw32", 4, 7789291),
+    ("bw1", 8, 7715363),
+])
+def test_rank32_tree_sizes(monkeypatch, name, norm, nodes):
+    levels = _level_counts(monkeypatch, getattr(bw, name)(), norm)
+    assert len(levels) == 32 and sum(levels) == nodes
+
+
 # --------------------------------------------------------------------------
 # enumeration
 
@@ -480,6 +520,49 @@ def test_large_radius_matches_jacobi_four_squares(monkeypatch, chunk):
             assert hist == {k * k * m: _r4(m) for m in range(1, n + 1)}
             radii.append(k * k * n)
     assert len(radii) == 27 and max(radii) == 1 << 40
+
+
+def _skewed_rows(rng):
+    """A lower-triangular integer basis at the edge of LLL reduction:
+    every mu is +-1/2, and the Gram-Schmidt lengths fall by 0.81 to 0.97
+    a row, near the Lovasz bound at delta 9/10.  The search reduces any
+    basis it is given (HNF, then LLL), so a long row nearly parallel to a
+    short one never reaches the tree; skew of this kind is what can."""
+    r = rng.randint(2, 4)
+    h = [rng.randrange(8, 40, 2)]
+    for _ in range(r - 1):
+        h.append(max(2, 2 * round(h[-1] * rng.uniform(0.81, 0.97) / 2)))
+    return np.array([[rng.choice((1, -1)) * h[m] // 2 for m in range(j)]
+                     + [h[j]] + [0] * (r - 1 - j) for j in range(r)],
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_skewed_bases_at_attained_radii_match_box_oracle(monkeypatch, chunk):
+    # every vector of norm T sits on the pruning boundary, and at k_max
+    # the radius nears 2^40, where ENUM_MARGIN is below one ulp of it
+    if chunk is not None:
+        monkeypatch.setattr(exlat, "_CHUNK", chunk)
+    rng = random.Random(31)
+    radii = []
+    for _ in range(20):
+        M = _skewed_rows(rng)
+        attained = sorted({int(v @ v) for v in (
+            np.array(x) @ M for x in itertools.product((-1, 0, 1),
+                                                       repeat=len(M)))
+            if v.any()})
+        n = rng.choice(attained[:6])
+        k_max = min((1 << 20) // int(np.abs(M).max()),
+                    math.isqrt((1 << 40) // n))
+        for k in (1, k_max):
+            b = ScaledBasis.from_rows(k * M)
+            bb = exlat.hnf_basis(b)
+            assert bb.den == 1
+            T = k * k * n
+            assert _both_signs(bb, T) == (_oracles.box_norm_histogram(b, T),
+                                          _oracles.box_norm_vectors(b, T))
+            radii.append(T)
+    assert max(radii) > 1 << 38
 
 
 def _search_peak_bytes(b, n):
