@@ -148,29 +148,30 @@ def _cmd_lattice_invariants(args) -> int:
     return _emit(args, verify.make_report(facts), lines)
 
 
+def _space_label(args) -> str:
+    return args.file if getattr(args, "file", None) else "".join(
+        str(p) for p in args.space)
+
+
 def _cmd_quad_singular_count(args) -> int:
     s = _load_space(args)
     count = f2quad.singular_count(s, include_zero=args.include_zero)
-    label = args.file if getattr(args, "file", None) else "".join(
-        str(p) for p in args.space)
-    facts = [_info(f"quad.{label}.singular-count", "1.5", count)]
+    facts = [_info(f"quad.{_space_label(args)}.singular-count", "1.5", count)]
     return _emit(args, verify.make_report(facts), [str(count)])
 
 
 def _cmd_quad_tss(args) -> int:
     s = _load_space(args)
     basis = f2quad.totally_singular_subspace(s, args.k)
-    label = args.file if getattr(args, "file", None) else "".join(
-        str(p) for p in args.space)
     value = "none" if basis is None else tuple(basis)
-    facts = [_info(f"quad.{label}.tss-{args.k}", "2.8", value)]
+    facts = [_info(f"quad.{_space_label(args)}.tss-{args.k}", "2.8", value)]
     return _emit(args, verify.make_report(facts), [str(value)])
 
 
 def _cmd_srg_perp(args) -> int:
     s = _load_space(args)
     g = srg.perp_graph(s)
-    label = "".join(str(p) for p in args.space)
+    label = _space_label(args)
     if args.edges_out:
         srg.write_edges(g, args.edges_out)
     params = srg.srg_params(g)
@@ -245,15 +246,11 @@ def _add_lattice_source(p) -> None:
     group.add_argument("--file", help="lattice basis file")
 
 
-def _add_space_source(p, allow_file: bool = True) -> None:
-    if allow_file:
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--space", type=_space,
-                           help="h<m> hyperbolic or e<m> elliptic")
-        group.add_argument("--file", help="form file")
-    else:
-        p.add_argument("--space", type=_space, required=True,
+def _add_space_source(p) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--space", type=_space,
                        help="h<m> hyperbolic or e<m> elliptic")
+    group.add_argument("--file", help="form file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     graph_sub = graph.add_subparsers(dest="subcommand", required=True)
 
     p = graph_sub.add_parser("perp", help="certify the perp graph")
-    _add_space_source(p, allow_file=False)
+    p.add_argument("--space", type=_space, required=True,
+                   help="h<m> hyperbolic or e<m> elliptic")
     p.add_argument("--edges-out", help="write the edge list here")
     _add_json_out(p)
     p.set_defaults(func=_cmd_srg_perp)

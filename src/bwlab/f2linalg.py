@@ -34,9 +34,11 @@ class F2Matrix:
     bits: tuple[int, ...]  # one int per row
 
     def __post_init__(self):
-        assert len(self.bits) == self.rows
+        if len(self.bits) != self.rows:
+            raise ValueError("row count mismatch")
         mask = (1 << self.cols) - 1
-        assert all(0 <= r <= mask for r in self.bits), "row exceeds column count"
+        if not all(0 <= r <= mask for r in self.bits):
+            raise ValueError("row exceeds column count")
 
     @staticmethod
     def from_rows(rows) -> "F2Matrix":

@@ -160,46 +160,35 @@ def arf_type(s: QuadSpace) -> str:
 def totally_singular_subspace(s: QuadSpace, k: int) -> list[int] | None:
     """Basis of a k-dimensional subspace with q identically zero, or None.
 
-    Greedy lex-ascending extension with backtracking; every element of
-    the found span is re-checked singular before returning.  On a
-    nondegenerate form k past the Witt index (m for plus, m - 1 for
-    minus) returns None without a search.
+    One lex-ascending pass over the singular vectors takes each one that
+    is outside the span of the choices so far and B-orthogonal to them.
+    A vector passed over stays excluded, so the pass ends on a maximal
+    totally singular subspace, and all of those have one dimension: each
+    contains the singular radical, and Witt's theorem applies to the
+    quotient (Taylor, The Geometry of the Classical Groups, 1992).  The
+    basis is re-checked: q(c_i) = 0 and B(c_i, c_j) = 0 for every pair
+    make q vanish on the span, by polarization.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k == 0:
-        return []
-    if k > s.dim // 2:
-        return None
-    if is_nondegenerate(s) and k > s.dim // 2 - (arf_type(s) == "minus"):
-        return None
     chosen: list[int] = []
-    span = {0}
-
-    def extend(cands: list[int]) -> bool:
-        # cands: the singular vectors after the last choice that are
-        # B-orthogonal to every choice
+    images: list[int] = []
+    echelon: list[int] = []  # the choices reduced, leading bits descending
+    for v in singular_vectors(s):
         if len(chosen) == k:
-            return True
-        for idx, v in enumerate(cands):
-            if v in span:
-                continue
-            # v new, singular, B-orthogonal: span stays totally singular
-            image = bilinear_image(s, v)
-            added = [w ^ v for w in span]
+            break
+        r = v
+        for row in echelon:
+            r = min(r, r ^ row)  # clears row's leading bit if r has it
+        if r and not any((image & v).bit_count() & 1 for image in images):
             chosen.append(v)
-            span.update(added)
-            if extend([w for w in cands[idx + 1:]
-                       if not (image & w).bit_count() & 1]):
-                return True
-            chosen.pop()
-            span.difference_update(added)
-        return False
-
-    if not extend(singular_vectors(s)):
+            images.append(bilinear_image(s, v))
+            echelon = sorted(echelon + [r], reverse=True)
+    if len(chosen) < k:
         return None
-    for w in span:
-        assert eval_q(s, w) == 0, "witness span contains a non-singular vector"
+    if any(eval_q(s, a) or eval_b(s, a, b) for i, a in enumerate(chosen)
+           for b in chosen[i:]):
+        raise RuntimeError("witness basis is not totally singular; internal bug")
     return chosen
 
 

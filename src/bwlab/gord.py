@@ -81,33 +81,17 @@ def _factorint(n: int) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class FactoredInteger:
-    """Validated on construction from caller-supplied factors; results of
-    the arithmetic below combine valid factorizations and skip that pass."""
+    """Ascending (prime, exponent >= 1) pairs, unchecked: each instance
+    comes from _factorint, the arithmetic below, sylow_part or ()."""
 
-    factors: tuple[tuple[int, int], ...]  # ascending (prime, exponent >= 1)
-
-    def __post_init__(self):
-        primes = [p for p, _ in self.factors]
-        if primes != sorted(set(primes)):
-            raise ValueError("primes must be ascending and distinct")
-        if any(e < 1 for _, e in self.factors):
-            raise ValueError("exponents must be positive")
-        if any(not _isprime(p) for p, _ in self.factors):
-            raise ValueError("non-prime base in factorization")
-
-    @staticmethod
-    def _trusted(factors: tuple[tuple[int, int], ...]) -> "FactoredInteger":
-        """Instance from factors already known to be valid, unchecked."""
-        fi = object.__new__(FactoredInteger)
-        object.__setattr__(fi, "factors", factors)
-        return fi
+    factors: tuple[tuple[int, int], ...]
 
     @staticmethod
     @lru_cache(maxsize=256)
     def from_int(n: int) -> "FactoredInteger":
         if n < 1:
             raise ValueError("only positive integers")
-        return FactoredInteger._trusted(tuple(_factorint(n).items()))
+        return FactoredInteger(tuple(_factorint(n).items()))
 
     @property
     def value(self) -> int:
@@ -123,7 +107,7 @@ class FactoredInteger:
         d = self.as_dict()
         for p, e in other.factors:
             d[p] = d.get(p, 0) + e
-        return FactoredInteger._trusted(tuple(sorted(d.items())))
+        return FactoredInteger(tuple(sorted(d.items())))
 
     def div(self, other: "FactoredInteger") -> "FactoredInteger":
         d = self.as_dict()
@@ -132,16 +116,14 @@ class FactoredInteger:
             if have < e:
                 raise ValueError(f"not divisible: prime {p} exponent {have} < {e}")
             d[p] = have - e
-        return FactoredInteger._trusted(
-            tuple(sorted((p, k) for p, k in d.items() if k)))
+        return FactoredInteger(tuple(sorted((p, k) for p, k in d.items() if k)))
 
     def pow(self, e: int) -> "FactoredInteger":
         if e < 0:
             raise ValueError("negative exponent")
         if e == 0:
-            return FactoredInteger._trusted(())
-        return FactoredInteger._trusted(
-            tuple((p, k * e) for p, k in self.factors))
+            return FactoredInteger(())
+        return FactoredInteger(tuple((p, k * e) for p, k in self.factors))
 
     def valuation(self, p: int) -> int:
         return self.as_dict().get(p, 0)

@@ -84,7 +84,8 @@ class QSeries:
                     break
                 acc += ((e + 1) * k - m) * a * g[m - k]
             q, r = divmod(acc, m * a0)
-            assert r == 0, "inexact step in the power recurrence"
+            if r:
+                raise RuntimeError("inexact step in the power recurrence; bug")
             g.append(q)
         return QSeries(e * self.offset_thirds, tuple(g))
 

@@ -3,8 +3,10 @@
 The graph delivered here is the perpendicularity graph on the nonzero
 singular vectors of a GF(2) quadratic space (adjacency: B(x, y) = 0,
 x != y), certified strongly regular by counting common neighbours of
-every vertex pair.  feasible_pairs solves the parameter arithmetic for
-a given (v, k) exhaustively.
+every vertex pair; mu >= 1 puts every pair within distance 2, so the
+graph is connected, and mu = 0 makes every component complete (Brouwer
+and Van Maldeghem, Strongly Regular Graphs, 2022).  feasible_pairs
+solves the parameter arithmetic for a given (v, k) exhaustively.
 """
 
 from __future__ import annotations
@@ -71,18 +73,6 @@ def perp_graph(s: f2quad.QuadSpace) -> Graph:
     return Graph(n, adj)
 
 
-def _is_connected(g: Graph) -> bool:
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(g.n, dtype=bool)
-    frontier[0] = True
-    while frontier.any():
-        nxt = g.adjacency[frontier].any(axis=0) & ~seen
-        seen |= nxt
-        frontier = nxt
-    return bool(seen.all())
-
-
 def _eigen_data(v: int, k: int, lam: int, mu: int):
     """(r, s, f, g) if the parameter set is spectrally feasible, else None."""
     disc = (lam - mu) ** 2 + 4 * (k - mu)
@@ -117,8 +107,6 @@ def srg_params(g: Graph):
     if (deg != k).any():
         bad = int(np.nonzero(deg != k)[0][0])
         return NotStronglyRegular("not regular", (0, bad))
-    if not _is_connected(g):
-        return NotStronglyRegular("not connected")
     a = g.adjacency
     # exact: every partial sum is an integer of at most n < 2^53
     common = (a.astype(np.float64) @ a.astype(np.float64)).astype(np.int64)
@@ -140,7 +128,11 @@ def srg_params(g: Graph):
         w = int(np.nonzero(non_counts != mu)[0][0])
         pos = np.nonzero(~adj_mask)[0][w]
         return NotStronglyRegular("mu varies", (int(iu[pos]), int(ju[pos])))
-    assert k * (k - lam - 1) == (n - k - 1) * mu, "SRG identity must hold"
+    if mu == 0:
+        # every component is complete, and the graph is not: two or more
+        return NotStronglyRegular("not connected")
+    if k * (k - lam - 1) != (n - k - 1) * mu:
+        raise RuntimeError("pair-counted SRG breaks k(k-lam-1) = (v-k-1)mu; bug")
     eig = _eigen_data(n, k, lam, mu)
     if eig is None:
         raise RuntimeError("pair-counted SRG with infeasible spectrum; bug")
@@ -170,9 +162,7 @@ def feasible_pairs(v: int, k: int) -> list[SrgParams]:
         if eig is None:
             continue
         r, s, f, g = eig
-        p = SrgParams(v, k, lam, mu, r, s, f, g)
-        assert p.k * (p.k - p.lam - 1) == (p.v - p.k - 1) * p.mu
-        out.append(p)
+        out.append(SrgParams(v, k, lam, mu, r, s, f, g))
     return out
 
 

@@ -4,7 +4,8 @@ Everything here recomputes values by a different method than the
 package: vector counts by exhaustive box enumeration bounded through an
 eigenvalue estimate, series roots by Newton iteration over rationals.
 Deliberately slow and simple.  The small GF(2) and graph builders at the
-end exist only to feed the tests.
+end exist only to feed the tests; the largest totally singular dimension
+comes from a search over every totally singular subspace.
 """
 
 from fractions import Fraction
@@ -166,6 +167,27 @@ def mul_vec(m: F2Matrix, x: int) -> int:
     for i, r in enumerate(m.bits):
         acc |= ((r & x).bit_count() & 1) << i
     return acc
+
+
+def max_totally_singular_dim(upper_rows, dim: int) -> int:
+    """Largest dimension of a subspace of F2^dim on which
+    q(x) = sum_{i <= j} U[i][j] x_i x_j vanishes, by growing every such
+    subspace, as the set of its elements, one singular vector at a time.
+    """
+    def q(x):
+        return sum((x >> i & 1) * (row & x).bit_count()
+                   for i, row in enumerate(upper_rows)) & 1
+
+    singular = frozenset(x for x in range(1 << dim) if not q(x))
+    level = {frozenset({0})}
+    best = 0
+    while True:
+        level = {span | {w ^ v for w in span}
+                 for span in level for v in singular - span
+                 if all(w ^ v in singular for w in span)}
+        if not level:
+            return best
+        best += 1
 
 
 def from_edges(n: int, edges) -> srg.Graph:

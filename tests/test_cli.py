@@ -111,10 +111,19 @@ def test_quad_tss_found_and_absent(capsys):
     code, stdout, _ = _run(capsys, "quad", "tss", "--space", "h2", "--k", "3")
     assert code == 0
     assert stdout.strip() == "none"
-    # past the Witt index of a minus-type space: no search
+    # past the Witt index of a minus-type space
     code, stdout, _ = _run(capsys, "quad", "tss", "--space", "e5", "--k", "5")
     assert code == 0
     assert stdout.strip() == "none"
+
+
+def test_quad_tss_from_a_degenerate_form_file(tmp_path, capsys):
+    path = tmp_path / "zero.f2q"
+    path.write_text("4\n" + "0 0 0 0\n" * 4)
+    code, stdout, _ = _run(capsys, "quad", "tss", "--file", str(path),
+                           "--k", "3")
+    assert code == 0
+    assert stdout.strip() == "(8, 4, 2)"
 
 
 def test_srg_perp_h2_with_edge_file(tmp_path, capsys):
@@ -137,6 +146,7 @@ def test_srg_perp_rejects_degenerate_space(capsys):
         code, stdout, _ = _run(capsys, "srg", "perp", "--space", space)
         assert code == 1
         assert stdout.startswith("not strongly regular")
+        assert "too few vertices" in stdout
 
 
 def test_srg_feasible_scan(capsys):

@@ -16,6 +16,13 @@ def test_vec_bits_roundtrip():
         assert fl.vec_from_bits(fl.vec_to_bits(x, 6)) == x
 
 
+def test_matrix_shape_is_checked():
+    with pytest.raises(ValueError):
+        fl.F2Matrix(2, 2, (4, 0))  # bit 2 is past the two columns
+    with pytest.raises(ValueError):
+        fl.F2Matrix(2, 2, (1,))
+
+
 def test_identity_rank_and_inverse():
     m = fl.F2Matrix.identity(7)
     assert fl.rank(m) == 7

@@ -143,12 +143,56 @@ def test_subspace_past_witt_index_returns_at_once():
 
 
 def test_degenerate_form_keeps_the_search():
-    # arf_type rejects a degenerate form, so no Witt bound applies here;
     # q = x1 x2 on F2^4 has radical <e3, e4>
     s = fq.QuadSpace(4, fl.F2Matrix(4, 4, (0b10, 0, 0, 0)))
     assert not fq.is_nondegenerate(s)
     basis = fq.totally_singular_subspace(s, 2)
     assert basis is not None and len(basis) == 2
+
+
+def test_degenerate_form_past_half_the_dimension():
+    # <e2, e3, e4> is totally singular for q = x1 x2: dim 3 > 4 / 2
+    s = fq.QuadSpace(4, fl.F2Matrix(4, 4, (0b10, 0, 0, 0)))
+    assert fq.totally_singular_subspace(s, 3) == [8, 4, 2]
+    assert fq.totally_singular_subspace(s, 4) is None
+    zero = fq.QuadSpace(4, fl.F2Matrix(4, 4, (0, 0, 0, 0)))
+    assert fq.totally_singular_subspace(zero, 4) == [8, 4, 2, 1]
+
+
+def test_totally_singular_subspace_exists_iff_oracle_finds_one():
+    rng = random.Random(15)
+    forms = [_random_upper(rng, dim) for dim in (2, 4, 6) for _ in range(40)]
+    forms += [fq.QuadSpace(dim, fl.F2Matrix(dim, dim, (0,) * dim))
+              for dim in (2, 4, 6)]
+    degenerate = 0
+    for s in forms:
+        degenerate += not fq.is_nondegenerate(s)
+        best = _oracles.max_totally_singular_dim(s.upper.bits, s.dim)
+        for k in range(s.dim + 1):
+            basis = fq.totally_singular_subspace(s, k)
+            assert (basis is not None) == (k <= best), (s.upper.bits, k)
+            if basis is not None:
+                m = fl.F2Matrix(len(basis), s.dim, tuple(basis))
+                assert len(basis) == k and fl.rank(m) == k
+    assert degenerate > 20
+
+
+# witnesses from the backtracking search this pass replaced, for k = 1,
+# 2, ...; each list stops at the Witt index, past which the answer is None
+_WITNESSES = {
+    "hyperbolic": {1: [2], 2: [8, 2], 3: [32, 8, 2], 4: [128, 32, 8, 2],
+                   5: [512, 128, 32, 8, 2]},
+    "elliptic": {1: [], 2: [2], 3: [8, 2], 4: [32, 8, 2], 5: [128, 32, 8, 2]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WITNESSES))
+def test_standard_form_witnesses_are_frozen(kind):
+    for m, chain in _WITNESSES[kind].items():
+        s = getattr(fq, kind)(m)
+        for k in range(2 * m + 1):
+            want = chain[:k] if k <= len(chain) else None
+            assert fq.totally_singular_subspace(s, k) == want, (kind, m, k)
 
 
 def test_transport_preserves_invariants():

@@ -68,6 +68,21 @@ def test_disconnected_graph_rejected():
     assert out.reason == "not connected"
 
 
+def test_disconnected_graph_with_varying_lambda():
+    # C3 + C4: lambda is 1 on the triangle, 0 on the square
+    g = _oracles.from_edges(7, [(0, 1), (1, 2), (2, 0),
+                                (3, 4), (4, 5), (5, 6), (6, 3)])
+    out = srg.srg_params(g)
+    assert isinstance(out, srg.NotStronglyRegular)
+    assert out.reason == "lambda varies"
+
+
+def test_edgeless_graph_has_no_adjacent_pairs():
+    out = srg.srg_params(_oracles.from_edges(3, []))
+    assert isinstance(out, srg.NotStronglyRegular)
+    assert out.reason == "no adjacent pairs"
+
+
 def test_perp_of_h5_is_certified_strongly_regular():
     p = srg.srg_params(srg.perp_graph(f2quad.hyperbolic(5)))
     assert isinstance(p, srg.SrgParams)
