@@ -7,7 +7,7 @@ Submodules:
     f2quad    quadratic forms over GF(2): types, singular vectors, subspaces
     srg       strongly regular graph certification and parameter feasibility
     gord      factored-integer arithmetic and classical/exceptional group orders
-    xrep      extraspecial 2-group matrix models and character-norm checks
+    xrep      extraspecial 2-groups as signed permutations, character norms
     qser      exact integer q-expansions (E4, delta, j, its cube root)
     verify    the consolidated check registry and machine-readable report
     cli       command-line frontend

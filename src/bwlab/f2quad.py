@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2linalg import F2Matrix, rank, vec_to_bits
+from .f2linalg import F2Matrix, rank
 
 MAX_SWEEP_DIM = 26
 
@@ -139,9 +139,12 @@ def singular_vectors(s: QuadSpace) -> list[int]:
     """All nonzero x with q(x) = 0, lexicographic on coordinate tuples."""
     bits = np.unpackbits(_q_words(s).astype("<u8").view(np.uint8),
                          bitorder="little")[:1 << s.dim]
-    vecs = [int(x) for x in np.flatnonzero(bits == 0)[1:]]
-    vecs.sort(key=lambda v: vec_to_bits(v, s.dim))
-    return vecs
+    vecs = np.flatnonzero(bits == 0)[1:]
+    # lex order on (x_0, x_1, ...) is the integer order of x bit-reversed
+    rev = np.zeros_like(vecs)
+    for i in range(s.dim):
+        rev |= (vecs >> i & 1) << (s.dim - 1 - i)
+    return vecs[np.argsort(rev)].tolist()
 
 
 def arf_type(s: QuadSpace) -> str:

@@ -2,10 +2,11 @@
 
 Everything here recomputes values by a different method than the
 package: vector counts by exhaustive box enumeration bounded through an
-eigenvalue estimate, series roots by Newton iteration over rationals.
-Deliberately slow and simple.  The small GF(2) and graph builders at the
-end exist only to feed the tests; the largest totally singular dimension
-comes from a search over every totally singular subspace.
+eigenvalue estimate, series roots by Newton iteration over rationals,
+group closures by products of dense matrices.  Deliberately slow and
+simple.  The small GF(2) and graph builders exist only to feed the
+tests; the largest totally singular dimension comes from a search over
+every totally singular subspace.
 """
 
 from fractions import Fraction
@@ -124,7 +125,8 @@ def poly_mul(a, b, n):
 
 
 def poly_inv(a, n):
-    assert a[0] != 0
+    if a[0] == 0:
+        raise ValueError("series with zero constant term has no inverse")
     inv = [Fraction(0)] * n
     inv[0] = 1 / Fraction(a[0])
     for i in range(1, n):
@@ -138,7 +140,8 @@ def poly_inv(a, n):
 
 def newton_cube_root(y, n):
     """c with c^3 = y to n terms, for y a rational series with y[0] = 1."""
-    assert y[0] == 1
+    if y[0] != 1:
+        raise ValueError("cube root needs constant term 1")
     c = [Fraction(1)] + [Fraction(0)] * (n - 1)
     third = Fraction(1, 3)
     for _ in range(n.bit_length() + 2):
@@ -205,3 +208,33 @@ def complete_graph(n: int) -> srg.Graph:
 
 def cycle_graph(n: int) -> srg.Graph:
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+# --------------------------------------------------------------------------
+# dense images of signed permutations, for the extraspecial-group tests
+
+
+def signed_perm_matrix(g) -> np.ndarray:
+    """The monomial matrix M with M e_j = s e_p for g[j] = s * (p + 1)."""
+    m = np.zeros((len(g), len(g)), dtype=np.int64)
+    for j, x in enumerate(g):
+        m[abs(x) - 1, j] = 1 if x > 0 else -1
+    return m
+
+
+def dense_closure(gens, dim: int) -> list[np.ndarray]:
+    """All products of the dense matrices gens, by breadth-first right
+    multiplication from the identity, in the order they are first met."""
+    ident = np.eye(dim, dtype=np.int64)
+    seen = {ident.tobytes(): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for gen in gens:
+                prod = e @ gen
+                if prod.tobytes() not in seen:
+                    seen[prod.tobytes()] = prod
+                    nxt.append(prod)
+        frontier = nxt
+    return list(seen.values())
