@@ -59,8 +59,13 @@ class ScaledBasis:
 
     @staticmethod
     def from_rows(rows, den: int = 1, frame_scale=1) -> "ScaledBasis":
-        return ScaledBasis(tuple(tuple(int(x) for x in r) for r in rows),
-                           int(den), Fraction(frame_scale))
+        """Entries and den of any numeric type; non-integral ones raise."""
+        def whole(x) -> int:
+            if int(x) != x:
+                raise ValueError(f"{x!r} is not an integer")
+            return int(x)
+        return ScaledBasis(tuple(tuple(map(whole, r)) for r in rows),
+                           whole(den), Fraction(frame_scale))
 
     @property
     def ambient_dim(self) -> int:

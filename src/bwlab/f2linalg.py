@@ -3,13 +3,17 @@
 A vector of length n is a Python int whose bit j is coordinate j, so
 coordinate 0 is the least significant bit.  A matrix is a tuple of such
 row ints.  Everything is immutable and exact.
+
+Span questions have one echelon: reduced rows with distinct leading
+bits, kept in descending order, against which a vector is reduced by
+v = min(v, v ^ row).  Rank, independent rows and f2quad's totally
+singular subspaces all extend it with extend_echelon.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
 MAX_ENUM_DIM = 24  # guard for codeword span enumeration
 
@@ -18,7 +22,9 @@ def vec_from_bits(bits) -> int:
     """Pack an iterable of 0/1 into a vector int (index 0 = lsb)."""
     x = 0
     for j, b in enumerate(bits):
-        if b & 1:
+        if b not in (0, 1):
+            raise ValueError(f"entry {b!r} is not 0 or 1")
+        if b == 1:
             x |= 1 << j
     return x
 
@@ -44,11 +50,9 @@ class F2Matrix:
     def from_rows(rows) -> "F2Matrix":
         """Build from a list of rows, each a sequence of 0/1 entries."""
         width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
         return F2Matrix(len(rows), width, tuple(vec_from_bits(r) for r in rows))
-
-    @staticmethod
-    def identity(n: int) -> "F2Matrix":
-        return F2Matrix(n, n, tuple(1 << i for i in range(n)))
 
     def transpose(self) -> "F2Matrix":
         out = [0] * self.cols
@@ -59,28 +63,24 @@ class F2Matrix:
                 r &= r - 1
         return F2Matrix(self.cols, self.rows, tuple(out))
 
-    def mul(self, other: "F2Matrix") -> "F2Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose()
-        out = []
-        for r in self.bits:
-            acc = 0
-            for j, c in enumerate(ot.bits):
-                acc |= ((r & c).bit_count() & 1) << j
-            out.append(acc)
-        return F2Matrix(self.rows, other.cols, tuple(out))
-
-    def add(self, other: "F2Matrix") -> "F2Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return F2Matrix(self.rows, self.cols,
-                        tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
 
 def rank(m: F2Matrix) -> int:
     """GF(2) row rank: the size of a maximal independent subset of rows."""
     return len(_independent_rows(m))
+
+
+def extend_echelon(echelon: list[int], v: int) -> bool:
+    """Reduce v against echelon and keep the remainder if it is nonzero.
+
+    echelon holds reduced rows with distinct leading bits in descending
+    order; True means v was outside their span and echelon now spans v.
+    """
+    for row in echelon:
+        v = min(v, v ^ row)  # clears row's leading bit if v has it
+    if v:
+        echelon.append(v)
+        echelon.sort(reverse=True)
+    return bool(v)
 
 
 def rm14() -> F2Matrix:
@@ -111,36 +111,16 @@ def enumerate_codewords(gens: F2Matrix) -> list[int]:
     k = len(basis)
     if k > MAX_ENUM_DIM:
         raise ValueError(f"code dimension {k} exceeds enumeration guard {MAX_ENUM_DIM}")
-    words = []
-    for msg in product((0, 1), repeat=k):
-        w = 0
-        for bit, g in zip(msg, basis):
-            if bit:
-                w ^= g
-        words.append(w)
+    words = [0]
+    for g in basis:
+        words = [x for w in words for x in (w, w ^ g)]
     return words
 
 
 def _independent_rows(m: F2Matrix) -> list[int]:
     """A maximal independent subset of the rows, in row order."""
-    picked = []
-    span = []  # echelon form of picked rows
-    for r in m.bits:
-        v = r
-        for b in span:
-            low = b & -b
-            if v & low:
-                v ^= b
-        if v:
-            picked.append(r)
-            # insert keeping echelon property on lowest set bits
-            for i, b in enumerate(span):
-                if (v & -v) < (b & -b):
-                    span.insert(i, v)
-                    break
-            else:
-                span.append(v)
-    return picked
+    echelon: list[int] = []
+    return [r for r in m.bits if extend_echelon(echelon, r)]
 
 
 def weight_enumerator(gens: F2Matrix) -> dict[int, int]:

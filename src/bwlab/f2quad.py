@@ -9,6 +9,14 @@ matrix is U + U^T (alternating: B(x, x) = 0).  Vectors are ints with
 bit i = coordinate i; reported orderings are lexicographic on the
 coordinate tuple (x_1, ..., x_n).
 
+Forms move by the polarization identity
+
+    q(sum x_i c_i) = sum x_i q(c_i) + sum_{i<j} x_i x_j B(c_i, c_j),
+
+so the form x -> q(T x) has U'[i][i] = q(c_i) and U'[i][j] = B(c_i, c_j)
+for the columns c_i = T e_i, and T is an isometry iff those bits equal
+the ones stored in U (Taylor, The Geometry of the Classical Groups, 1992).
+
 Type classification is decided by exhaustively counting singular
 vectors, never by formula; the counts are the ground truth downstream
 modules consume.
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2linalg import F2Matrix, rank
+from .f2linalg import F2Matrix, extend_echelon, rank
 
 MAX_SWEEP_DIM = 26
 
@@ -176,17 +184,14 @@ def totally_singular_subspace(s: QuadSpace, k: int) -> list[int] | None:
         raise ValueError("k must be non-negative")
     chosen: list[int] = []
     images: list[int] = []
-    echelon: list[int] = []  # the choices reduced, leading bits descending
+    echelon: list[int] = []  # spans the choices
     for v in singular_vectors(s):
         if len(chosen) == k:
             break
-        r = v
-        for row in echelon:
-            r = min(r, r ^ row)  # clears row's leading bit if r has it
-        if r and not any((image & v).bit_count() & 1 for image in images):
+        if not any((image & v).bit_count() & 1 for image in images) \
+                and extend_echelon(echelon, v):
             chosen.append(v)
             images.append(bilinear_image(s, v))
-            echelon = sorted(echelon + [r], reverse=True)
     if len(chosen) < k:
         return None
     if any(eval_q(s, a) or eval_b(s, a, b) for i, a in enumerate(chosen)
@@ -196,18 +201,20 @@ def totally_singular_subspace(s: QuadSpace, k: int) -> list[int] | None:
 
 
 def transport(s: QuadSpace, t: F2Matrix) -> QuadSpace:
-    """The form x -> q(T x) for invertible T, folded back to upper form."""
+    """The form x -> q(T x) for invertible T, by polarization on the
+    columns c_i = T e_i."""
     if (t.rows, t.cols) != (s.dim, s.dim):
         raise ValueError("transport matrix has wrong shape")
     if rank(t) != s.dim:
         raise ValueError("transport matrix is singular")
-    n = t.transpose().mul(s.upper).mul(t)
-    rows = [0] * s.dim
-    for i in range(s.dim):
-        rows[i] |= (n.bits[i] >> i & 1) << i
+    cols = t.transpose().bits
+    rows = []
+    for i, c in enumerate(cols):
+        image = bilinear_image(s, c)
+        row = eval_q(s, c) << i
         for j in range(i + 1, s.dim):
-            bit = (n.bits[i] >> j & 1) ^ (n.bits[j] >> i & 1)
-            rows[i] |= bit << j
+            row |= ((image & cols[j]).bit_count() & 1) << j
+        rows.append(row)
     return QuadSpace(s.dim, F2Matrix(s.dim, s.dim, tuple(rows)))
 
 
@@ -215,16 +222,16 @@ def isometry_counts(s: QuadSpace) -> tuple[int, int]:
     """(order of the full isometry group, order of the Dickson kernel).
 
     Backtracking over the images c_j of the basis vectors e_j, usable at
-    dim <= 4 only: q(sum x_j c_j) equals q(sum x_j e_j) for every x iff
-    q(c_j) = q(e_j) and B(c_i, c_j) = B(e_i, e_j), so each c_j is chosen
-    to keep these against the images already chosen, and each complete
-    choice that is invertible is an isometry.  The Dickson invariant of
-    g is rank(g + I) mod 2.
+    dim <= 4 only: by polarization q(sum x_j c_j) equals q(x) for every x
+    iff q(c_j) = U[j][j] and B(c_i, c_j) = U[i][j] for i < j, so each c_j
+    is chosen to keep these against the images already chosen, and each
+    complete choice that is invertible is an isometry.  The Dickson
+    invariant of g is rank(g + I) mod 2.
     """
     n = s.dim
     if n > 4:
         raise ValueError("isometry search is limited to dim <= 4")
-    ident = F2Matrix.identity(n)
+    u = s.upper.bits
     full = kernel = 0
 
     def extend(images: tuple[int, ...]) -> None:
@@ -234,11 +241,12 @@ def isometry_counts(s: QuadSpace) -> tuple[int, int]:
             t = F2Matrix(n, n, images)  # g transposed: same rank, same Dickson
             if rank(t) == n:
                 full += 1
-                kernel += rank(t.add(ident)) % 2 == 0
+                shifted = tuple(c ^ (1 << i) for i, c in enumerate(images))
+                kernel += rank(F2Matrix(n, n, shifted)) % 2 == 0
             return
         for c in range(1, 1 << n):
-            if eval_q(s, c) == eval_q(s, 1 << j) and all(
-                    eval_b(s, images[i], c) == eval_b(s, 1 << i, 1 << j)
+            if eval_q(s, c) == u[j] >> j & 1 and all(
+                    eval_b(s, images[i], c) == u[i] >> j & 1
                     for i in range(j)):
                 extend(images + (c,))
 
@@ -249,13 +257,14 @@ def isometry_counts(s: QuadSpace) -> tuple[int, int]:
 # --- form files: first line dim, then the upper-triangular 0/1 rows ---
 
 def read_form(path) -> QuadSpace:
-    """Exactly dim rows of dim entries after the dim line, each 0 or 1."""
+    """Exactly dim rows of dim entries after the dim line, each 0 or 1.
+
+    F2Matrix.from_rows rejects ragged rows and entries other than 0 and
+    1, and QuadSpace rejects rows of the wrong length.
+    """
     with open(path) as fh:
         dim = int(fh.readline().strip())
-        rows = [line.split() for line in fh if line.strip()]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
+        rows = [[int(t) for t in line.split()] for line in fh if line.strip()]
+    if len(rows) != dim:
         raise ValueError(f"form file needs {dim} rows of {dim} entries")
-    if any(t not in ("0", "1") for r in rows for t in r):
-        raise ValueError("form file entries must be 0 or 1")
-    bits = [[int(t) for t in r] for r in rows]
-    return QuadSpace(dim, F2Matrix.from_rows(bits))
+    return QuadSpace(dim, F2Matrix.from_rows(rows))

@@ -180,29 +180,21 @@ def sylow_part(n: FactoredInteger, p: int) -> FactoredInteger:
     return FactoredInteger(((p, e),) if e else ())
 
 
-_TOKEN_PATTERNS = (
-    ("extraspecial", re.compile(r"^2\^\{(\d+)\+(\d+)\}(?:_[+-])?$")),
-    ("power", re.compile(r"^(\d+)\^\{?(\d+)\}?$")),
-    ("omega_plus", re.compile(r"^OmegaPlus\((\d+),(\d+)\)$")),
-    ("e6", re.compile(r"^E6\((\d+)\)$")),
-    ("plain", re.compile(r"^(\d+)$")),
+# each layer token's pattern, and its order as a function of the integer groups
+_TOKENS = (
+    (re.compile(r"^2\^\{(\d+)\+(\d+)\}(?:_[+-])?$"), lambda a, b: _fi(2).pow(a + b)),
+    (re.compile(r"^(\d+)\^\{?(\d+)\}?$"), lambda p, e: _fi(p).pow(e)),
+    (re.compile(r"^OmegaPlus\((\d+),(\d+)\)$"), omega_plus_order),
+    (re.compile(r"^E6\((\d+)\)$"), e6_order),
+    (re.compile(r"^(\d+)$"), _fi),
 )
 
 
 def _layer_order(token: str) -> FactoredInteger:
-    for kind, pat in _TOKEN_PATTERNS:
+    for pat, order in _TOKENS:
         m = pat.match(token)
-        if not m:
-            continue
-        if kind == "extraspecial":
-            return _fi(2).pow(int(m.group(1)) + int(m.group(2)))
-        if kind == "power":
-            return _fi(int(m.group(1))).pow(int(m.group(2)))
-        if kind == "omega_plus":
-            return omega_plus_order(int(m.group(1)), int(m.group(2)))
-        if kind == "e6":
-            return e6_order(int(m.group(1)))
-        return _fi(int(m.group(1)))
+        if m:
+            return order(*map(int, m.groups()))
     raise ValueError(f"unresolvable shape token: {token!r}")
 
 

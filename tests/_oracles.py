@@ -3,10 +3,11 @@
 Everything here recomputes values by a different method than the
 package: vector counts by exhaustive box enumeration bounded through an
 eigenvalue estimate, series roots by Newton iteration over rationals,
-group closures by products of dense matrices.  Deliberately slow and
-simple.  The small GF(2) and graph builders exist only to feed the
-tests; the largest totally singular dimension comes from a search over
-every totally singular subspace.
+group closures by products of dense matrices, transported quadratic
+forms by the matrix product T^T U T.  Deliberately slow and simple.
+The small GF(2) matrix arithmetic and graph builders exist only to feed
+the tests; the largest totally singular dimension comes from a search
+over every totally singular subspace.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from math import ceil, floor, sqrt
 
 import numpy as np
 
-from bwlab import exlat, f2linalg, srg
+from bwlab import exlat, f2linalg, f2quad, srg
 from bwlab.exlat import ScaledBasis
 from bwlab.f2linalg import F2Matrix
 
@@ -170,6 +171,37 @@ def mul_vec(m: F2Matrix, x: int) -> int:
     for i, r in enumerate(m.bits):
         acc |= ((r & x).bit_count() & 1) << i
     return acc
+
+
+def identity(n: int) -> F2Matrix:
+    return F2Matrix(n, n, tuple(1 << i for i in range(n)))
+
+
+def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
+    """a b: entry (i, j) is the parity of row i of a against column j of b."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    cols = b.transpose().bits
+    return F2Matrix(a.rows, b.cols, tuple(
+        sum(((r & c).bit_count() & 1) << j for j, c in enumerate(cols))
+        for r in a.bits))
+
+
+def mat_add(a: F2Matrix, b: F2Matrix) -> F2Matrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return F2Matrix(a.rows, a.cols, tuple(x ^ y for x, y in zip(a.bits, b.bits)))
+
+
+def transport_by_product(s: f2quad.QuadSpace, t: F2Matrix) -> f2quad.QuadSpace:
+    """x -> q(T x) as N = T^T U T folded back to upper form: the diagonal
+    of N, and N[i][j] + N[j][i] above it."""
+    n = mat_mul(mat_mul(t.transpose(), s.upper), t).bits
+    rows = tuple(
+        (n[i] >> i & 1) << i
+        | sum(((n[i] >> j ^ n[j] >> i) & 1) << j for j in range(i + 1, s.dim))
+        for i in range(s.dim))
+    return f2quad.QuadSpace(s.dim, F2Matrix(s.dim, s.dim, rows))
 
 
 def max_totally_singular_dim(upper_rows, dim: int) -> int:

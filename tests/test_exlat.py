@@ -65,6 +65,17 @@ def test_hnf_normalizes_denominator():
     assert exlat.hnf_basis(doubled) == exlat.hnf_basis(_zn(2))
 
 
+def test_from_rows_rejects_non_integral_input():
+    for rows, den in (([[Fraction(1, 2), 0], [0, 1]], 1), ([[1.5, 0]], 1),
+                      ([[1, 0]], 2.7), ([[1, 0]], Fraction(5, 2))):
+        with pytest.raises(ValueError):
+            ScaledBasis.from_rows(rows, den)
+    # integral values of any numeric type are kept exactly
+    b = ScaledBasis.from_rows([[Fraction(2), 0.0], [np.int64(-3), 1]], 2.0)
+    assert b.mat == ((2, 0), (-3, 1)) and b.den == 2
+    assert all(type(x) is int for r in b.mat for x in r) and type(b.den) is int
+
+
 def test_hnf_rejects_zero_lattice():
     with pytest.raises(ValueError):
         exlat.hnf_basis(ScaledBasis.from_rows([[0, 0]], 1))

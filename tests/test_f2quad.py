@@ -83,7 +83,7 @@ def test_singular_vectors_match_brute_force_on_random_forms():
     for dim in (2, 4, 6, 8, 12):
         forms = [_random_upper(rng, dim) for _ in range(4)]
         forms.append(fq.QuadSpace(dim, fl.F2Matrix(dim, dim, (0,) * dim)))
-        forms.append(fq.QuadSpace(dim, fl.F2Matrix.identity(dim)))
+        forms.append(fq.QuadSpace(dim, _oracles.identity(dim)))
         for s in forms:
             brute = [x for x in range(1, 2 ** dim) if fq.eval_q(s, x) == 0]
             vecs = fq.singular_vectors(s)
@@ -207,12 +207,30 @@ def test_transport_preserves_invariants():
             assert fq.arf_type(moved) == base_type
 
 
+def _transport_cases(rng):
+    """(form, invertible matrix) pairs in dims 2-12, degenerate forms
+    included: random, zero and diagonal (q = sum x_i, so B = 0)."""
+    for dim in range(2, 13, 2):
+        forms = [_random_upper(rng, dim) for _ in range(6)]
+        forms += [fq.QuadSpace(dim, fl.F2Matrix(dim, dim, (0,) * dim)),
+                  fq.QuadSpace(dim, _oracles.identity(dim))]
+        for s in forms:
+            yield s, _oracles.random_invertible(dim, rng)
+
+
 def test_transport_composes():
     rng = random.Random(34)
     s = fq.hyperbolic(2)
     t1 = _oracles.random_invertible(4, rng)
     t2 = _oracles.random_invertible(4, rng)
-    assert fq.transport(fq.transport(s, t1), t2) == fq.transport(s, t1.mul(t2))
+    assert fq.transport(fq.transport(s, t1), t2) == \
+        fq.transport(s, _oracles.mat_mul(t1, t2))
+    for s, t1 in _transport_cases(rng):
+        t2 = _oracles.random_invertible(s.dim, rng)
+        moved = fq.transport(s, t1)
+        assert moved == _oracles.transport_by_product(s, t1)
+        assert fq.transport(moved, t2) == \
+            fq.transport(s, _oracles.mat_mul(t1, t2))
 
 
 def test_transport_evaluates_through_the_matrix():
@@ -222,6 +240,14 @@ def test_transport_evaluates_through_the_matrix():
     moved = fq.transport(s, t)
     for x in range(16):
         assert fq.eval_q(moved, x) == fq.eval_q(s, _oracles.mul_vec(t, x))
+    degenerate = 0
+    for s, t in _transport_cases(rng):
+        degenerate += not fq.is_nondegenerate(s)
+        moved = fq.transport(s, t)
+        assert moved.upper.bits == _oracles.transport_by_product(s, t).upper.bits
+        for x in rng.sample(range(1 << s.dim), min(256, 1 << s.dim)):
+            assert fq.eval_q(moved, x) == fq.eval_q(s, _oracles.mul_vec(t, x))
+    assert degenerate > 12
 
 
 def test_transport_rejects_singular_matrix():
@@ -231,7 +257,7 @@ def test_transport_rejects_singular_matrix():
     with pytest.raises(ValueError):
         fq.transport(s, bad)
     with pytest.raises(ValueError):
-        fq.transport(s, fl.F2Matrix.identity(6))
+        fq.transport(s, _oracles.identity(6))
 
 
 def test_isometry_group_orders_dim_2_and_4():
@@ -245,7 +271,7 @@ def test_isometry_group_orders_dim_2_and_4():
 def _isometry_counts_brute(s):
     # every dim x dim matrix; an isometry is invertible and keeps q everywhere
     n = s.dim
-    ident = fl.F2Matrix.identity(n)
+    ident = _oracles.identity(n)
     full = kernel = 0
     for code in range(1 << (n * n)):
         g = fl.F2Matrix(n, n, tuple((code >> (n * i)) & ((1 << n) - 1)
@@ -253,7 +279,7 @@ def _isometry_counts_brute(s):
         if all(fq.eval_q(s, _oracles.mul_vec(g, x)) == fq.eval_q(s, x)
                for x in range(1 << n)) and fl.rank(g) == n:
             full += 1
-            kernel += fl.rank(g.add(ident)) % 2 == 0
+            kernel += fl.rank(_oracles.mat_add(g, ident)) % 2 == 0
     return full, kernel
 
 
@@ -291,8 +317,10 @@ def test_form_file_roundtrip(tmp_path):
     "2\n0 1\n0 0\n1 0\n",
     "2\n0 2\n0 0\n",
     "2\n0 x\n0 0\n",
+    "2\n0 -1\n0 0\n",
+    "2\n0 1 0\n0 0 0\n",
 ], ids=["missing-row", "short-row", "long-row", "extra-row", "entry-2",
-        "entry-x"])
+        "entry-x", "entry-minus-1", "long-rows"])
 def test_read_form_rejects_malformed_files(tmp_path, body):
     path = tmp_path / "bad.f2q"
     path.write_text(body)
