@@ -23,6 +23,7 @@ equalities.  similarity_invariants keeps the search-based evidence.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,11 +51,14 @@ def bw16() -> ScaledBasis:
 
 
 def _glue_pair(left: ScaledBasis, diag: ScaledBasis) -> ScaledBasis:
-    """(left + left) + {(v, v) : v in diag} as one canonical lattice."""
-    both = exlat.direct_sum(left, left)
-    den = both.den * diag.den
-    rows = [tuple(x * diag.den for x in r) for r in both.mat]
-    rows += [tuple(x * both.den for x in (r + r)) for r in diag.mat]
+    """(left + left) + {(v, v) : v in diag} as one canonical lattice: the
+    rows (r, 0), (0, r) and (v, v) over the lcm of the denominators."""
+    den = math.lcm(left.den, diag.den)
+    fl, fd = den // left.den, den // diag.den
+    zero = (0,) * left.ambient_dim
+    rows = [tuple(x * fl for x in r) for r in left.mat]
+    rows = [r + zero for r in rows] + [zero + r for r in rows]
+    rows += [tuple(x * fd for x in r + r) for r in diag.mat]
     return exlat.hnf_basis(ScaledBasis(tuple(rows), den, FRAME))
 
 

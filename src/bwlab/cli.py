@@ -53,7 +53,7 @@ def _space(text: str):
 
 
 def _load_space(args) -> f2quad.QuadSpace:
-    if getattr(args, "file", None):
+    if args.file:
         return f2quad.read_form(args.file)
     kind, m = args.space
     return f2quad.hyperbolic(m) if kind == "h" else f2quad.elliptic(m)
@@ -63,7 +63,7 @@ _LATTICES = {"bw16": bw.bw16, "bw32": bw.bw32, "bw1": bw.bw1}
 
 
 def _load_lattice(args) -> exlat.ScaledBasis:
-    if getattr(args, "file", None):
+    if args.file:
         return exlat.read_lattice(args.file)
     return _LATTICES[args.lattice]()
 
@@ -98,26 +98,36 @@ def _cmd_verify_paper(args) -> int:
 
 
 def _lattice_label(args) -> str:
-    return args.file if getattr(args, "file", None) else args.lattice
+    return args.file or args.lattice
+
+
+def _gram_facts(b: exlat.ScaledBasis) -> list[tuple]:
+    """Rank, determinant and parity of b as (name, location, value)."""
+    g = exlat.gram(b)
+    return [("rank", "1.1", len(b.mat)),
+            ("det", "1.1", exlat.determinant(g)),
+            ("even", "1.1", exlat.is_even(g))]
+
+
+def _emit_lattice_facts(args, facts, extra_lines=()) -> int:
+    """Report each (name, location, value) as lattice.<label>.<name> and
+    print it as "name = value"."""
+    label = _lattice_label(args)
+    results = [_info(f"lattice.{label}.{name}", loc, value)
+               for name, loc, value in facts]
+    lines = [f"{name} = {r.actual}" for (name, _, _), r in zip(facts, results)]
+    return _emit(args, verify.make_report(results), lines + list(extra_lines))
 
 
 def _cmd_lattice_build(args) -> int:
     b = exlat.hnf_basis(_load_lattice(args))
     if args.lattice_out:
         exlat.write_lattice(b, args.lattice_out)
-    name = _lattice_label(args)
-    g = exlat.gram(b)
-    facts = [
-        _info(f"lattice.{name}.rank", "1.1", len(b.mat)),
-        _info(f"lattice.{name}.den", "1.1", b.den),
-        _info(f"lattice.{name}.frame-scale", "1.1", b.frame_scale),
-        _info(f"lattice.{name}.det", "1.1", exlat.determinant(g)),
-        _info(f"lattice.{name}.even", "1.1", exlat.is_even(g)),
-    ]
-    lines = [f"{r.id.split('.', 2)[-1]} = {r.actual}" for r in facts]
-    if args.lattice_out:
-        lines.append(f"wrote basis to {args.lattice_out}")
-    return _emit(args, verify.make_report(facts), lines)
+    rank, det, even = _gram_facts(b)
+    facts = [rank, ("den", "1.1", b.den),
+             ("frame-scale", "1.1", b.frame_scale), det, even]
+    extra = [f"wrote basis to {args.lattice_out}"] if args.lattice_out else []
+    return _emit_lattice_facts(args, facts, extra)
 
 
 def _cmd_lattice_enumerate(args) -> int:
@@ -134,23 +144,15 @@ def _cmd_lattice_enumerate(args) -> int:
 
 def _cmd_lattice_invariants(args) -> int:
     b = exlat.hnf_basis(_load_lattice(args))
-    g = exlat.gram(b)
-    name = _lattice_label(args)
-    inv = exlat.quotient_invariants(exlat.dual(b), b)
-    facts = [
-        _info(f"lattice.{name}.rank", "1.1", len(b.mat)),
-        _info(f"lattice.{name}.det", "1.1", exlat.determinant(g)),
-        _info(f"lattice.{name}.even", "1.1", exlat.is_even(g)),
-        _info(f"lattice.{name}.dual-quotient", "1.1", inv),
-        _info(f"lattice.{name}.min-norm", "1.5", exlat.minimum_norm(b)),
+    facts = _gram_facts(b) + [
+        ("dual-quotient", "1.1", exlat.quotient_invariants(exlat.dual(b), b)),
+        ("min-norm", "1.5", exlat.minimum_norm(b)),
     ]
-    lines = [f"{r.id.split('.', 2)[-1]} = {r.actual}" for r in facts]
-    return _emit(args, verify.make_report(facts), lines)
+    return _emit_lattice_facts(args, facts)
 
 
 def _space_label(args) -> str:
-    return args.file if getattr(args, "file", None) else "".join(
-        str(p) for p in args.space)
+    return args.file or "".join(str(p) for p in args.space)
 
 
 def _cmd_quad_singular_count(args) -> int:
@@ -309,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_sub = graph.add_subparsers(dest="subcommand", required=True)
 
     p = graph_sub.add_parser("perp", help="certify the perp graph")
-    p.add_argument("--space", type=_space, required=True,
-                   help="h<m> hyperbolic or e<m> elliptic")
+    _add_space_source(p)
     p.add_argument("--edges-out", help="write the edge list here")
     _add_json_out(p)
     p.set_defaults(func=_cmd_srg_perp)

@@ -155,18 +155,16 @@ def hnf_basis(b: ScaledBasis) -> ScaledBasis:
 # --------------------------------------------------------------------------
 # Gram data
 
-def gram(b: ScaledBasis) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact Gram matrix of the stored generator rows, as Fraction rows."""
-    scale = b.frame_scale / (b.den * b.den)
-    return tuple(
-        tuple(scale * sum(x * y for x, y in zip(ri, rj)) for rj in b.mat)
-        for ri in b.mat
-    )
-
-
 def _gram_rows(a, b) -> list[list[int]]:
     """The integer matrix a . b^T of two lists of integer rows."""
     return [[sum(map(operator.mul, u, v)) for v in b] for u in a]
+
+
+def gram(b: ScaledBasis) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact Gram matrix of the stored generator rows, as Fraction rows."""
+    scale = b.frame_scale / (b.den * b.den)
+    return tuple(tuple(scale * x for x in row)
+                 for row in _gram_rows(b.mat, b.mat))
 
 
 def _solve(A, B) -> tuple[list[list[int]] | None, int]:
@@ -174,7 +172,8 @@ def _solve(A, B) -> tuple[list[list[int]] | None, int]:
 
     Returns (X, d) with A . X = d . B exactly and d = det A, signed; when
     A is singular, (None, 0).  Every intermediate entry is a minor of
-    [A | B], so each division is exact.
+    [A | B], so each division is exact.  Serves determinant and dual, the
+    two places where a Gram matrix is the input.
     """
     n = len(A)
     m = [[int(x) for x in a] + [int(x) for x in b] for a, b in zip(A, B)]
@@ -220,23 +219,6 @@ def is_even(g) -> bool:
 # --------------------------------------------------------------------------
 # containment and quotients
 
-def _coords_in(outer: ScaledBasis, rows: tuple[tuple[int, ...], ...],
-               row_den: int) -> tuple[list[list[int]], int]:
-    """Coordinates of rows/row_den in the basis hnf_basis(outer); exact.
-
-    Returns integer numerators and one positive common denominator.
-    """
-    ob = hnf_basis(outer)
-    X, d = _solve(_gram_rows(ob.mat, ob.mat), _gram_rows(ob.mat, rows))
-    # d = det of a Gram matrix of independent rows, so d > 0; confirm the
-    # rows really lie in the span
-    coords = list(zip(*X))
-    if _gram_rows(coords, list(zip(*ob.mat))) \
-            != [[d * x for x in w] for w in rows]:
-        raise ContainmentError("vector outside the outer lattice's span")
-    return [[ob.den * x for x in c] for c in coords], d * row_den
-
-
 def _invariant_factors(rows) -> tuple[int, ...]:
     """Smith invariant factors d_1 | d_2 | ... of a nonempty integer
     matrix: min(rows, columns) of them, each >= 0, zeros last.
@@ -258,20 +240,35 @@ def _invariant_factors(rows) -> tuple[int, ...]:
 def quotient_invariants(outer: ScaledBasis, inner: ScaledBasis) -> tuple[int, ...]:
     """Nontrivial invariant factors of outer/inner (ascending, each | next).
 
-    Raises ContainmentError if inner is not a finite-index sublattice
-    (membership of every inner generator is checked exactly).
+    Coordinates by back-substitution on the echelon hnf_basis(outer),
+    with both bases over the product of their denominators: from each
+    canonical row of inner, each outer row in turn is subtracted as
+    often as its pivot entry goes into the row's entry in that column.
+    A nonzero remainder, which a non-integral coordinate or a vector
+    outside the span leaves, raises ContainmentError, as does a smaller
+    rank.
     """
     if (outer.frame_scale, outer.ambient_dim) \
             != (inner.frame_scale, inner.ambient_dim):
         raise ValueError("lattices live in different frames")
-    ib = hnf_basis(inner)
-    coords, den = _coords_in(outer, ib.mat, ib.den)
-    if any(x % den for row in coords for x in row):
-        raise ContainmentError("inner lattice not contained in outer")
-    if len(coords) != len(hnf_basis(outer).mat):
+    ob, ib = hnf_basis(outer), hnf_basis(inner)
+    echelon = [(next(j for j, x in enumerate(r) if x),
+                [ib.den * x for x in r]) for r in ob.mat]
+    coords = []
+    for row in ib.mat:
+        v = [ob.den * x for x in row]
+        c = []
+        for p, r in echelon:
+            q = v[p] // r[p]
+            if q:
+                v = [x - q * y for x, y in zip(v, r)]
+            c.append(q)
+        if any(v):
+            raise ContainmentError("inner lattice not contained in outer")
+        coords.append(c)
+    if len(coords) != len(ob.mat):
         raise ContainmentError("inner lattice has smaller rank than outer")
-    facs = _invariant_factors([[x // den for x in row] for row in coords])
-    return tuple(d for d in facs if d != 1)
+    return tuple(d for d in _invariant_factors(coords) if d != 1)
 
 
 def lattice_equal(a: ScaledBasis, b: ScaledBasis) -> bool:
@@ -288,22 +285,10 @@ def dual(b: ScaledBasis) -> ScaledBasis:
     """
     bb = hnf_basis(b)
     fs = bb.frame_scale
-    # d > 0, as in _coords_in
+    # d is the Gram determinant of independent rows, so d > 0
     X, d = _solve(_gram_rows(bb.mat, bb.mat), bb.mat)
     rows = [[bb.den * fs.denominator * x for x in row] for row in X]
     return hnf_basis(ScaledBasis.from_rows(rows, d * fs.numerator, fs))
-
-
-def direct_sum(a: ScaledBasis, b: ScaledBasis) -> ScaledBasis:
-    """Orthogonal direct sum in the concatenated frame."""
-    if a.frame_scale != b.frame_scale:
-        raise ValueError("frame scales differ")
-    den = a.den * b.den // math.gcd(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    na, nb = a.ambient_dim, b.ambient_dim
-    rows = [tuple(x * fa for x in r) + (0,) * nb for r in a.mat]
-    rows += [(0,) * na + tuple(x * fb for x in r) for r in b.mat]
-    return hnf_basis(ScaledBasis(tuple(rows), den, a.frame_scale))
 
 
 def scale(b: ScaledBasis, k) -> ScaledBasis:

@@ -4,18 +4,19 @@ Everything here recomputes values by a different method than the
 package: vector counts by exhaustive box enumeration bounded through an
 eigenvalue estimate, series roots by Newton iteration over rationals,
 group closures by products of dense matrices, transported quadratic
-forms by the matrix product T^T U T.  Deliberately slow and simple.
+forms by the matrix product T^T U T, glued lattices through an
+orthogonal direct sum.  Deliberately slow and simple.
 The small GF(2) matrix arithmetic and graph builders exist only to feed
 the tests; the largest totally singular dimension comes from a search
 over every totally singular subspace.
 """
 
 from fractions import Fraction
-from math import ceil, floor, sqrt
+from math import ceil, floor, gcd, sqrt
 
 import numpy as np
 
-from bwlab import exlat, f2linalg, f2quad, srg
+from bwlab import bw, exlat, f2linalg, f2quad, srg
 from bwlab.exlat import ScaledBasis
 from bwlab.f2linalg import F2Matrix
 
@@ -109,6 +110,29 @@ def shuffled_basis(b: ScaledBasis, rng, steps: int = 25) -> ScaledBasis:
             c = rng.randint(-3, 3)
             rows[i] = [a + c * bb for a, bb in zip(rows[i], rows[j])]
     return ScaledBasis.from_rows(rows, b.den, b.frame_scale)
+
+
+def direct_sum(a: ScaledBasis, b: ScaledBasis) -> ScaledBasis:
+    """Orthogonal direct sum in the concatenated frame."""
+    if a.frame_scale != b.frame_scale:
+        raise ValueError("frame scales differ")
+    den = a.den * b.den // gcd(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    na, nb = a.ambient_dim, b.ambient_dim
+    rows = [tuple(x * fa for x in r) + (0,) * nb for r in a.mat]
+    rows += [(0,) * na + tuple(x * fb for x in r) for r in b.mat]
+    return exlat.hnf_basis(ScaledBasis(tuple(rows), den, a.frame_scale))
+
+
+def glue_by_direct_sum(left: ScaledBasis, diag: ScaledBasis) -> ScaledBasis:
+    """(left + left) + {(v, v) : v in diag}: the canonical direct sum of
+    two copies of left, then the diagonal rows over the product of the
+    denominators, in the Barnes-Wall frame."""
+    both = direct_sum(left, left)
+    den = both.den * diag.den
+    rows = [tuple(x * diag.den for x in r) for r in both.mat]
+    rows += [tuple(x * both.den for x in (r + r)) for r in diag.mat]
+    return exlat.hnf_basis(ScaledBasis(tuple(rows), den, bw.FRAME))
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,8 @@ import pytest
 from bwlab import bw, exlat, verify
 from bwlab.exlat import ScaledBasis
 
+from . import _oracles
+
 
 def test_bw16_shape():
     b = bw.bw16()
@@ -33,6 +35,23 @@ def test_bw16_even():
 def test_bw16_dual_quotient():
     inv = exlat.quotient_invariants(exlat.dual(bw.bw16()), bw.bw16())
     assert inv == (2,) * 8
+
+
+def test_glue_pair_matches_the_direct_sum_reference():
+    # the three pair steps of the tower, then random small pairs
+    b16 = bw.bw16()
+    d16 = exlat.dual(b16)
+    pairs = [(b16, d16), (exlat.scale(d16, 2), b16),
+             (exlat.scale(b16, 2), exlat.scale(d16, 2))]
+    rng = random.Random(41)
+    while len(pairs) < 40:
+        left = _oracles.random_small_basis(rng)
+        diag = _oracles.random_small_basis(rng)
+        if left.ambient_dim == diag.ambient_dim:
+            pairs.append((left, diag))
+    for left, diag in pairs:
+        assert bw._glue_pair(left, diag) \
+            == _oracles.glue_by_direct_sum(left, diag)
 
 
 def test_bw16_minimum():

@@ -93,8 +93,14 @@ def test_lattice_roundtrip_through_file(tmp_path, capsys):
     code, stdout, _ = _run(capsys, "lattice", "invariants", "--file",
                            str(path))
     assert code == 0
-    assert "det = 256" in stdout
-    assert "even = True" in stdout
+    # the fact names stay short although the path holds a dot
+    assert stdout.splitlines() == [
+        "rank = 16", "det = 256", "even = True",
+        "dual-quotient = (2, 2, 2, 2, 2, 2, 2, 2)", "min-norm = 4"]
+    code, stdout, _ = _run(capsys, "lattice", "build", "--file", str(path))
+    assert code == 0
+    assert stdout.splitlines() == [
+        "rank = 16", "den = 2", "frame-scale = 2", "det = 256", "even = True"]
 
 
 def test_quad_singular_counts(capsys):
@@ -127,17 +133,21 @@ def test_quad_tss_from_a_degenerate_form_file(tmp_path, capsys):
 
 
 def test_srg_perp_h2_with_edge_file(tmp_path, capsys):
-    edges = tmp_path / "h2.edges"
-    code, stdout, _ = _run(capsys, "srg", "perp", "--space", "h2",
-                           "--edges-out", str(edges))
-    assert code == 0
-    assert stdout.strip() == "(9, 4, 1, 2, 1, -2, 4, 4)"
-    pairs = [tuple(map(int, line.split()))
-             for line in edges.read_text().splitlines()]
-    assert len(pairs) == 18
-    rebuilt = _oracles.from_edges(9, pairs)
-    params = srg.srg_params(rebuilt)
-    assert (params.v, params.k, params.lam, params.mu) == (9, 4, 1, 2)
+    # the form file holds x1 x3 + x2 x4, plus type like h2
+    form = tmp_path / "plus.f2q"
+    form.write_text("4\n0 0 1 0\n0 0 0 1\n0 0 0 0\n0 0 0 0\n")
+    for source in (["--space", "h2"], ["--file", str(form)]):
+        edges = tmp_path / "h2.edges"
+        code, stdout, _ = _run(capsys, "srg", "perp", *source,
+                               "--edges-out", str(edges))
+        assert code == 0
+        assert stdout.strip() == "(9, 4, 1, 2, 1, -2, 4, 4)"
+        pairs = [tuple(map(int, line.split()))
+                 for line in edges.read_text().splitlines()]
+        assert len(pairs) == 18
+        rebuilt = _oracles.from_edges(9, pairs)
+        params = srg.srg_params(rebuilt)
+        assert (params.v, params.k, params.lam, params.mu) == (9, 4, 1, 2)
 
 
 def test_srg_perp_rejects_degenerate_space(capsys):

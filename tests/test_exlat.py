@@ -210,6 +210,20 @@ def test_quotient_invariants_mixed():
     assert exlat.quotient_invariants(_zn(2), inner) == (6,)
 
 
+def _random_frame_basis(rng) -> ScaledBasis:
+    """Independent random rows in a frame up to three columns wider than
+    the rank, with a random denominator and frame norm."""
+    while True:
+        rank = rng.randint(1, 6)
+        width = rank + rng.randint(0, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(width)]
+                for _ in range(rank)]
+        if DomainMatrix.from_list(rows, ZZ).rank() == rank:
+            return ScaledBasis.from_rows(
+                rows, rng.choice([1, 2, 3, 4]),
+                rng.choice([Fraction(1), Fraction(2), Fraction(1, 2)]))
+
+
 def test_quotient_requires_containment():
     shifted = ScaledBasis.from_rows([[1, 1], [0, 3]], 2)
     with pytest.raises(ContainmentError):
@@ -219,38 +233,68 @@ def test_quotient_requires_containment():
         exlat.quotient_invariants(_zn(2), wide)
     with pytest.raises(ValueError, match="different frames"):
         exlat.quotient_invariants(wide, _zn(2))
+    rng = random.Random(27)
+    outside = 0
+    for _ in range(60):
+        b = _random_frame_basis(rng)
+        k = len(b.mat)
+        # half of one basis vector: every other row doubled, den doubled
+        i = rng.randrange(k)
+        rows = [[x * (1 if j == i else 2) for x in r]
+                for j, r in enumerate(b.mat)]
+        with pytest.raises(ContainmentError):
+            exlat.quotient_invariants(
+                b, ScaledBasis.from_rows(rows, 2 * b.den, b.frame_scale))
+        # a frame vector outside the span, in place of a row or added
+        for e in range(b.ambient_dim):
+            w = [int(j == e) for j in range(b.ambient_dim)]
+            if DomainMatrix.from_list([*b.mat, w], ZZ).rank() > k:
+                break
+        else:
+            continue
+        outside += 1
+        for rows in ([*b.mat[:i], w, *b.mat[i + 1:]], [*b.mat, w]):
+            with pytest.raises(ContainmentError):
+                exlat.quotient_invariants(
+                    b, ScaledBasis.from_rows(rows, b.den, b.frame_scale))
+    assert outside >= 20
+
+
+def _random_nonsingular(rng, k) -> list[list[int]]:
+    """A random nonsingular k x k integer matrix."""
+    while True:
+        U = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        if DomainMatrix.from_list(U, ZZ).det():
+            return U
 
 
 def test_quotient_invariants_of_random_sublattices():
+    # inner = U . b for nonsingular U, written over m times the
+    # denominator, in frames as wide as the rank and wider: the quotient
+    # is Z^k modulo the rows of U, whose invariants are sympy's Smith
+    # invariants of U
     rng = random.Random(26)
-    for _ in range(25):
-        b = _oracles.random_small_basis(rng)
-        k = len(b.mat)
-        while True:
-            U = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
-            # rank <= 6 and entries <= 3: the float determinant rounds exactly
-            det_u = round(np.linalg.det(np.array(U, dtype=np.float64)))
-            if det_u:
-                break
-        rows = np.array(U, dtype=np.int64) @ np.array(b.mat, dtype=np.int64)
-        inner = ScaledBasis.from_rows(rows.tolist(), b.den, b.frame_scale)
-        # quotient_invariants checks containment exactly before the Smith form
-        assert math.prod(exlat.quotient_invariants(b, inner)) == abs(det_u)
+    wider = 0
+    for trial in range(120):
+        b = _oracles.random_small_basis(rng) if trial % 2 \
+            else _random_frame_basis(rng)
+        wider += b.ambient_dim > len(b.mat)
+        U = _random_nonsingular(rng, len(b.mat))
+        m = rng.choice([1, 2, 3, 6])
+        rows = [[m * x for x in r] for r in _mul(U, b.mat)]
+        inner = ScaledBasis.from_rows(rows, m * b.den, b.frame_scale)
+        want = tuple(abs(int(x)) for x in
+                     invariant_factors(DomainMatrix.from_list(U, ZZ))
+                     if abs(int(x)) != 1)
+        assert exlat.quotient_invariants(b, inner) == want
+        det_u = DomainMatrix.from_list(U, ZZ).det()
         assert exlat.determinant(exlat.gram(inner)) \
             == det_u ** 2 * exlat.determinant(exlat.gram(b))
+    assert wider >= 40
 
 
 def test_lattice_equal_requires_same_frame():
     assert not exlat.lattice_equal(_zn(2), _zn(2, frame=2))
-
-
-def test_direct_sum_multiplies_determinants():
-    a = ScaledBasis.from_rows([[1, 1], [0, 3]], 2)
-    b = ScaledBasis.from_rows([[2]], 3)
-    da = exlat.determinant(exlat.gram(a))
-    db = exlat.determinant(exlat.gram(b))
-    ds = exlat.determinant(exlat.gram(exlat.direct_sum(a, b)))
-    assert ds == da * db
 
 
 def test_scale_and_rescale_metric():
