@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bwlab import cli, exlat, srg
+from bwlab import bw, cli, exlat, srg
 
 from . import _oracles
 
@@ -20,15 +20,35 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_verify_paper_fast_json_and_report_file(tmp_path, capsys):
+@pytest.mark.parametrize("argv, checks", [
+    pytest.param(["verify-paper", "--skip-slow"], 52, id="verify-paper"),
+    pytest.param(["lattice", "enumerate", "--lattice", "bw16", "--norm", "4"],
+                 1, id="lattice-enumerate"),
+    pytest.param(["lattice", "invariants", "--lattice", "bw16"], 5,
+                 id="lattice-invariants"),
+    pytest.param(["quad", "singular-count", "--space", "h5"], 1,
+                 id="quad-singular-count"),
+    pytest.param(["quad", "tss", "--space", "h2", "--k", "2"], 1,
+                 id="quad-tss"),
+    pytest.param(["srg", "perp", "--space", "h2"], 1, id="srg-perp"),
+    pytest.param(["srg", "feasible", "--v", "10", "--k", "3"], 1,
+                 id="srg-feasible"),
+    pytest.param(["orders", "e6", "--q", "2"], 1, id="orders-e6"),
+    pytest.param(["orders", "shape", "--shape", "2^{27}.E6(2)", "--sylow",
+                  "2"], 2, id="orders-shape"),
+    pytest.param(["xrep", "check"], 4, id="xrep-check"),
+    pytest.param(["qseries", "t1", "--terms", "3"], 3, id="qseries-t1"),
+])
+def test_verify_paper_fast_json_and_report_file(argv, checks, tmp_path,
+                                                capsys):
+    # every command but lattice build writes its --json report to --out
     out = tmp_path / "report.json"
-    code, stdout, _ = _run(capsys, "verify-paper", "--skip-slow", "--json",
-                           "--out", str(out))
+    code, stdout, _ = _run(capsys, *argv, "--json", "--out", str(out))
     assert code == 0
     printed = json.loads(stdout)
     assert printed["version"] == 1
     assert printed["pass"] is True
-    assert len(printed["checks"]) == 52
+    assert len(printed["checks"]) == checks
     assert json.loads(out.read_text()) == printed
 
 
@@ -245,3 +265,109 @@ def test_malformed_form_file_exits_2(tmp_path, capsys, body):
     code, _, err = _run(capsys, "quad", "singular-count", "--file", str(path))
     assert code == 2
     assert err.startswith("error:")
+
+
+# --------------------------------------------------------------------------
+# golden outputs: the exact text lines and the JSON (id, expected, actual,
+# pass) list of every leaf command; verify-paper's report is the registry's,
+# pinned in test_verify.py.  "{tmp}" stands for the test's directory, which
+# holds bw16.lat (BW16's canonical basis) and plus.f2q (x1 x3 + x2 x4).
+
+
+def _facts(prefix, *pairs):
+    """Informational checks: each passes, its expected equal to its actual."""
+    return [(f"{prefix}.{name}", str(v), str(v), True) for name, v in pairs]
+
+
+_BW16_BUILD = [("rank", 16), ("den", 2), ("frame-scale", 2), ("det", 256),
+               ("even", True)]
+_BW16_INVARIANTS = [("rank", 16), ("det", 256), ("even", True),
+                    ("dual-quotient", (2,) * 8), ("min-norm", 4)]
+_E6_2 = "2^36·3^6·5^2·7^3·13·17·31·73"
+_AUT = "2^63·3^6·5^2·7^3·13·17·31·73"
+_NOT_SRG = "NotStronglyRegular(reason='too few vertices', pair=None)"
+
+GOLDEN = [
+    (["lattice", "build", "--lattice", "bw16", "--out", "{tmp}/out.lat"], 0,
+     [f"{n} = {v}" for n, v in _BW16_BUILD]
+     + ["wrote basis to {tmp}/out.lat"],
+     _facts("lattice.bw16", *_BW16_BUILD)),
+    (["lattice", "build", "--file", "{tmp}/bw16.lat"], 0,
+     [f"{n} = {v}" for n, v in _BW16_BUILD],
+     _facts("lattice.{tmp}/bw16.lat", *_BW16_BUILD)),
+    (["lattice", "enumerate", "--lattice", "bw16", "--norm", "4"], 0,
+     ["4320 vectors of norm 4"],
+     _facts("lattice.bw16", ("norm-4-count", 4320))),
+    (["lattice", "enumerate", "--file", "{tmp}/bw16.lat", "--norm", "4",
+      "--count-only"], 0,
+     ["4320"],
+     _facts("lattice.{tmp}/bw16.lat", ("norm-4-count", 4320))),
+    (["lattice", "invariants", "--lattice", "bw16"], 0,
+     [f"{n} = {v}" for n, v in _BW16_INVARIANTS],
+     _facts("lattice.bw16", *_BW16_INVARIANTS)),
+    (["quad", "singular-count", "--space", "e4", "--include-zero"], 0,
+     ["120"],
+     _facts("quad.e4", ("singular-count", 120))),
+    (["quad", "singular-count", "--file", "{tmp}/plus.f2q"], 0,
+     ["9"],
+     _facts("quad.{tmp}/plus.f2q", ("singular-count", 9))),
+    (["quad", "tss", "--space", "h5", "--k", "5"], 0,
+     ["(512, 128, 32, 8, 2)"],
+     _facts("quad.h5", ("tss-5", (512, 128, 32, 8, 2)))),
+    (["quad", "tss", "--space", "h2", "--k", "3"], 0,
+     ["none"],
+     _facts("quad.h2", ("tss-3", "none"))),
+    (["srg", "perp", "--file", "{tmp}/plus.f2q"], 0,
+     ["(9, 4, 1, 2, 1, -2, 4, 4)"],
+     _facts("srg.{tmp}/plus.f2q", ("params", (9, 4, 1, 2, 1, -2, 4, 4)))),
+    (["srg", "perp", "--space", "h1"], 1,
+     [f"not strongly regular: {_NOT_SRG}"],
+     [("srg.h1.params", "strongly regular", _NOT_SRG, False)]),
+    (["srg", "feasible", "--v", "139503", "--k", "4590"], 0,
+     ["(lam, mu, r, s, f, g) candidates for v=139503, k=4590: 1",
+      "(621, 135, 495, -9, 2482, 137020)"],
+     _facts("srg.feasible", ("139503-4590",
+                             [(621, 135, 495, -9, 2482, 137020)]))),
+    (["orders", "e6", "--q", "2"], 0,
+     [_E6_2],
+     _facts("orders", ("e6-q2", _E6_2))),
+    (["orders", "shape", "--shape", "2^{27}.E6(2)", "--sylow", "2"], 0,
+     [_AUT, "2-part: 2^63"],
+     _facts("orders.shape", ("2^{27}.E6(2)", _AUT),
+            ("2^{27}.E6(2).sylow-2", "2^63"))),
+    (["xrep", "check"], 0,
+     ["[ok] rep.closure-orders: (8, 32, 128, 512)",
+      "[ok] rep.char-norms: (1, 1, 1, 1)",
+      "[ok] rep.central-product-norms: (1, 1)",
+      "[ok] rep.reducible-control: 4"],
+     _facts("rep", ("closure-orders", (8, 32, 128, 512)),
+            ("char-norms", (1, 1, 1, 1)), ("central-product-norms", (1, 1)),
+            ("reducible-control", 4))),
+    (["qseries", "t1", "--terms", "4"], 0,
+     ["q^-4/3: 1", "q^-1/3: 0", "q^2/3: 139504", "q^5/3: 69332992"],
+     _facts("series.t1", ("q^-4/3", 1), ("q^-1/3", 0), ("q^2/3", 139504),
+            ("q^5/3", 69332992))),
+]
+
+
+@pytest.mark.parametrize("argv, code, lines, checks", GOLDEN,
+                         ids=[" ".join(g[0][:2]) + f"-{i}"
+                              for i, g in enumerate(GOLDEN)])
+def test_golden_text_and_json(argv, code, lines, checks, tmp_path, capsys):
+    exlat.write_lattice(exlat.hnf_basis(bw.bw16()), tmp_path / "bw16.lat")
+    (tmp_path / "plus.f2q").write_text(
+        "4\n0 0 1 0\n0 0 0 1\n0 0 0 0\n0 0 0 0\n")
+
+    def fill(text):
+        return text.replace("{tmp}", str(tmp_path))
+
+    argv = [fill(a) for a in argv]
+    got, stdout, _ = _run(capsys, *argv)
+    assert (got, stdout.splitlines()) == (code, [fill(x) for x in lines])
+    got, stdout, _ = _run(capsys, *argv, "--json")
+    report = json.loads(stdout)
+    assert got == code
+    assert report["pass"] is (code == 0)
+    assert [(c["id"], c["expected"], c["actual"], c["pass"])
+            for c in report["checks"]] == [
+        (fill(i), e, a, p) for i, e, a, p in checks]
