@@ -2,8 +2,8 @@
 
 Every subcommand supports --json, emitting the same report schema the
 verification sweep uses, so downstream tooling can consume any output
-uniformly.  Informational commands report each printed fact as a check
-whose expected and actual values coincide.
+uniformly.  Informational commands report through one helper, _facts:
+each printed fact becomes a check whose expected and actual values coincide.
 
 Exit codes: 0 all invoked checks pass, 1 at least one check failed,
 2 malformed usage.
@@ -15,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import astuple
 from fractions import Fraction
 
 from . import bw, exlat, f2quad, gord, qser, srg, verify
@@ -52,32 +53,29 @@ def _space(text: str):
     return (kind, half_dim)
 
 
-def _load_space(args) -> f2quad.QuadSpace:
+def _load_space(args) -> tuple[str, f2quad.QuadSpace]:
+    """The --file or --space form, with its label in check ids."""
     if args.file:
-        return f2quad.read_form(args.file)
+        return args.file, f2quad.read_form(args.file)
     kind, m = args.space
-    return f2quad.hyperbolic(m) if kind == "h" else f2quad.elliptic(m)
+    space = f2quad.hyperbolic(m) if kind == "h" else f2quad.elliptic(m)
+    return f"{kind}{m}", space
 
 
 _LATTICES = {"bw16": bw.bw16, "bw32": bw.bw32, "bw1": bw.bw1}
 
 
-def _load_lattice(args) -> exlat.ScaledBasis:
+def _load_lattice(args) -> tuple[str, exlat.ScaledBasis]:
+    """The --file or --lattice basis, with its label in check ids."""
     if args.file:
-        return exlat.read_lattice(args.file)
-    return _LATTICES[args.lattice]()
-
-
-def _info(check_id: str, location: str, value) -> CheckResult:
-    text = str(value)
-    return CheckResult(check_id, location, text, text, True, 0)
+        return args.file, exlat.read_lattice(args.file)
+    return args.lattice, _LATTICES[args.lattice]()
 
 
 def _emit(args, report: dict, text_lines: list[str]) -> int:
     """Common output path: report JSON, optional --out report file, exit code."""
-    report_out = getattr(args, "out", None)
-    if report_out:
-        with open(report_out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     if args.json:
@@ -86,6 +84,16 @@ def _emit(args, report: dict, text_lines: list[str]) -> int:
         for line in text_lines:
             print(line)
     return 0 if report["pass"] else 1
+
+
+def _facts(args, prefix: str, facts, lines=None) -> int:
+    """Report each informational (name, location, value) as the passing
+    check prefix.name; print lines, or "name = value" per fact."""
+    results = [CheckResult(f"{prefix}.{name}", loc, str(v), str(v), True, 0)
+               for name, loc, v in facts]
+    if lines is None:
+        lines = [f"{name} = {v}" for name, _, v in facts]
+    return _emit(args, verify.make_report(results), lines)
 
 
 # --------------------------------------------------------------------------
@@ -97,10 +105,6 @@ def _cmd_verify_paper(args) -> int:
     return _emit(args, report, [verify.render_text(report)])
 
 
-def _lattice_label(args) -> str:
-    return args.file or args.lattice
-
-
 def _gram_facts(b: exlat.ScaledBasis) -> list[tuple]:
     """Rank, determinant and parity of b as (name, location, value)."""
     g = exlat.gram(b)
@@ -109,71 +113,57 @@ def _gram_facts(b: exlat.ScaledBasis) -> list[tuple]:
             ("even", "1.1", exlat.is_even(g))]
 
 
-def _emit_lattice_facts(args, facts, extra_lines=()) -> int:
-    """Report each (name, location, value) as lattice.<label>.<name> and
-    print it as "name = value"."""
-    label = _lattice_label(args)
-    results = [_info(f"lattice.{label}.{name}", loc, value)
-               for name, loc, value in facts]
-    lines = [f"{name} = {r.actual}" for (name, _, _), r in zip(facts, results)]
-    return _emit(args, verify.make_report(results), lines + list(extra_lines))
-
-
 def _cmd_lattice_build(args) -> int:
-    b = exlat.hnf_basis(_load_lattice(args))
+    label, b = _load_lattice(args)
+    b = exlat.hnf_basis(b)
     if args.lattice_out:
         exlat.write_lattice(b, args.lattice_out)
     rank, det, even = _gram_facts(b)
     facts = [rank, ("den", "1.1", b.den),
              ("frame-scale", "1.1", b.frame_scale), det, even]
-    extra = [f"wrote basis to {args.lattice_out}"] if args.lattice_out else []
-    return _emit_lattice_facts(args, facts, extra)
+    lines = [f"{name} = {v}" for name, _, v in facts]
+    if args.lattice_out:
+        lines.append(f"wrote basis to {args.lattice_out}")
+    return _facts(args, f"lattice.{label}", facts, lines)
 
 
 def _cmd_lattice_enumerate(args) -> int:
-    b = _load_lattice(args)
+    label, b = _load_lattice(args)
     count = exlat.enumerate_norm(b, args.norm)
-    name = _lattice_label(args)
-    facts = [_info(f"lattice.{name}.norm-{args.norm}-count", "1.5", count)]
-    if args.count_only:
-        lines = [str(count)]
-    else:
-        lines = [f"{count} vectors of norm {args.norm}"]
-    return _emit(args, verify.make_report(facts), lines)
+    line = (str(count) if args.count_only
+            else f"{count} vectors of norm {args.norm}")
+    return _facts(args, f"lattice.{label}",
+                  [(f"norm-{args.norm}-count", "1.5", count)], [line])
 
 
 def _cmd_lattice_invariants(args) -> int:
-    b = exlat.hnf_basis(_load_lattice(args))
+    label, b = _load_lattice(args)
+    b = exlat.hnf_basis(b)
     facts = _gram_facts(b) + [
         ("dual-quotient", "1.1", exlat.quotient_invariants(exlat.dual(b), b)),
         ("min-norm", "1.5", exlat.minimum_norm(b)),
     ]
-    return _emit_lattice_facts(args, facts)
-
-
-def _space_label(args) -> str:
-    return args.file or "".join(str(p) for p in args.space)
+    return _facts(args, f"lattice.{label}", facts)
 
 
 def _cmd_quad_singular_count(args) -> int:
-    s = _load_space(args)
+    label, s = _load_space(args)
     count = f2quad.singular_count(s, include_zero=args.include_zero)
-    facts = [_info(f"quad.{_space_label(args)}.singular-count", "1.5", count)]
-    return _emit(args, verify.make_report(facts), [str(count)])
+    return _facts(args, f"quad.{label}", [("singular-count", "1.5", count)],
+                  [str(count)])
 
 
 def _cmd_quad_tss(args) -> int:
-    s = _load_space(args)
+    label, s = _load_space(args)
     basis = f2quad.totally_singular_subspace(s, args.k)
     value = "none" if basis is None else tuple(basis)
-    facts = [_info(f"quad.{_space_label(args)}.tss-{args.k}", "2.8", value)]
-    return _emit(args, verify.make_report(facts), [str(value)])
+    return _facts(args, f"quad.{label}", [(f"tss-{args.k}", "2.8", value)],
+                  [str(value)])
 
 
 def _cmd_srg_perp(args) -> int:
-    s = _load_space(args)
+    label, s = _load_space(args)
     g = srg.perp_graph(s)
-    label = _space_label(args)
     if args.edges_out:
         srg.write_edges(g, args.edges_out)
     params = srg.srg_params(g)
@@ -182,77 +172,71 @@ def _cmd_srg_perp(args) -> int:
                            "strongly regular", str(params), False, 0)
         return _emit(args, verify.make_report([fail]),
                      [f"not strongly regular: {params}"])
-    tup = (params.v, params.k, params.lam, params.mu,
-           params.r, params.s, params.f, params.g)
-    facts = [_info(f"srg.{label}.params", "2.5", tup)]
-    return _emit(args, verify.make_report(facts), [str(tup)])
+    tup = astuple(params)
+    return _facts(args, f"srg.{label}", [("params", "2.5", tup)], [str(tup)])
 
 
 def _cmd_srg_feasible(args) -> int:
-    rows = srg.feasible_pairs(args.v, args.k)
-    facts = [_info(f"srg.feasible.{args.v}-{args.k}", "2.6-2.7",
-                   [(p.lam, p.mu, p.r, p.s, p.f, p.g) for p in rows])]
+    rows = [(p.lam, p.mu, p.r, p.s, p.f, p.g)
+            for p in srg.feasible_pairs(args.v, args.k)]
     lines = [f"(lam, mu, r, s, f, g) candidates for "
              f"v={args.v}, k={args.k}: {len(rows)}"]
-    lines += [str((p.lam, p.mu, p.r, p.s, p.f, p.g)) for p in rows]
-    return _emit(args, verify.make_report(facts), lines)
+    return _facts(args, "srg.feasible",
+                  [(f"{args.v}-{args.k}", "2.6-2.7", rows)],
+                  lines + [str(r) for r in rows])
 
 
 def _cmd_orders_e6(args) -> int:
     fi = gord.e6_order(args.q)
-    facts = [_info(f"orders.e6-q{args.q}", "2.6-2.7", fi)]
-    return _emit(args, verify.make_report(facts), [str(fi)])
+    return _facts(args, "orders", [(f"e6-q{args.q}", "2.6-2.7", fi)],
+                  [str(fi)])
 
 
 def _cmd_orders_shape(args) -> int:
     fi = gord.shape_order(args.shape)
-    facts = [_info(f"orders.shape.{args.shape}", "2.8", fi)]
-    lines = [str(fi)]
+    facts, lines = [(args.shape, "2.8", fi)], [str(fi)]
     if args.sylow:
         part = gord.sylow_part(fi, args.sylow)
-        facts.append(_info(f"orders.shape.{args.shape}.sylow-{args.sylow}",
-                           "2.8", part))
+        facts.append((f"{args.shape}.sylow-{args.sylow}", "2.8", part))
         lines.append(f"{args.sylow}-part: {part}")
-    return _emit(args, verify.make_report(facts), lines)
+    return _facts(args, "orders.shape", facts, lines)
 
 
 def _cmd_xrep_check(args) -> int:
-    results = [verify.run_check(c) for c in verify._rep_checks()]
+    results = [verify.run_check(c) for c in verify.build_registry()["rep"]]
     lines = [f"[{'ok' if r.passed else 'FAIL'}] {r.id}: {r.actual}"
              for r in results]
     return _emit(args, verify.make_report(results), lines)
 
 
 def _cmd_qseries_t1(args) -> int:
-    series = qser.t1_series(args.terms)
-    facts = [_info(f"series.t1.q^{e}", "intro", c)
-             for e, c in series.terms()]
-    lines = [f"q^{e}: {c}" for e, c in series.terms()]
-    return _emit(args, verify.make_report(facts), lines)
+    terms = qser.t1_series(args.terms).terms()
+    return _facts(args, "series.t1",
+                  [(f"q^{e}", "intro", c) for e, c in terms],
+                  [f"q^{e}: {c}" for e, c in terms])
 
 
 # --------------------------------------------------------------------------
 # parser assembly
 
 
-def _add_json_out(p) -> None:
+def _command(sub, name, func, help, report_out=True):
+    """A leaf command running func: --json, and the report --out unless the
+    command writes something else there."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--json", action="store_true",
                    help="emit the JSON report schema on stdout")
-    p.add_argument("--out", help="also write the JSON report to this path")
+    if report_out:
+        p.add_argument("--out", help="also write the JSON report to this path")
+    p.set_defaults(func=func, out=None)
+    return p
 
 
-def _add_lattice_source(p) -> None:
+def _add_source(p, flag, file_help, **kw) -> None:
+    """A required choice between a built-in source flag and --file."""
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--lattice", choices=sorted(_LATTICES),
-                       help="built-in lattice name")
-    group.add_argument("--file", help="lattice basis file")
-
-
-def _add_space_source(p) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--space", type=_space,
-                       help="h<m> hyperbolic or e<m> elliptic")
-    group.add_argument("--file", help="form file")
+    group.add_argument(flag, **kw)
+    group.add_argument("--file", help=file_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,95 +245,73 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact lattice, code, form, and series checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-paper", help="run the full check registry")
+    p = _command(sub, "verify-paper", _cmd_verify_paper,
+                 "run the full check registry")
     p.add_argument("--skip-slow", action="store_true",
                    help="omit the rank-32 enumeration and 527-vertex checks")
     p.add_argument("--threads", type=_positive_int, default=None,
                    help="accepted and ignored: the search runs in one thread")
-    _add_json_out(p)
-    p.set_defaults(func=_cmd_verify_paper)
 
     lat = sub.add_parser("lattice", help="lattice constructions")
     lat_sub = lat.add_subparsers(dest="subcommand", required=True)
-
-    p = lat_sub.add_parser("build", help="write a canonical basis")
-    _add_lattice_source(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", dest="lattice_out", metavar="OUT",
-                   help="write the lattice file here")
-    p.set_defaults(func=_cmd_lattice_build)
-
-    p = lat_sub.add_parser("enumerate", help="count vectors of one norm")
-    _add_lattice_source(p)
-    p.add_argument("--norm", type=_fraction, required=True)
-    p.add_argument("--count-only", action="store_true",
-                   help="print the bare count")
-    _add_json_out(p)
-    p.set_defaults(func=_cmd_lattice_enumerate)
-
-    p = lat_sub.add_parser("invariants", help="det, parity, quotients")
-    _add_lattice_source(p)
-    _add_json_out(p)
-    p.set_defaults(func=_cmd_lattice_invariants)
+    build = _command(lat_sub, "build", _cmd_lattice_build,
+                     "write a canonical basis", report_out=False)
+    build.add_argument("--out", dest="lattice_out", metavar="OUT",
+                       help="write the lattice file here")
+    enum = _command(lat_sub, "enumerate", _cmd_lattice_enumerate,
+                    "count vectors of one norm")
+    enum.add_argument("--norm", type=_fraction, required=True)
+    enum.add_argument("--count-only", action="store_true",
+                      help="print the bare count")
+    inv = _command(lat_sub, "invariants", _cmd_lattice_invariants,
+                   "det, parity, quotients")
+    for p in (build, enum, inv):
+        _add_source(p, "--lattice", "lattice basis file",
+                    choices=sorted(_LATTICES), help="built-in lattice name")
 
     quad = sub.add_parser("quad", help="quadratic spaces over GF(2)")
     quad_sub = quad.add_subparsers(dest="subcommand", required=True)
-
-    p = quad_sub.add_parser("singular-count")
-    _add_space_source(p)
-    p.add_argument("--include-zero", action="store_true")
-    _add_json_out(p)
-    p.set_defaults(func=_cmd_quad_singular_count)
-
-    p = quad_sub.add_parser("tss", help="find a totally singular subspace")
-    _add_space_source(p)
-    p.add_argument("--k", type=int, required=True)
-    _add_json_out(p)
-    p.set_defaults(func=_cmd_quad_tss)
+    count = _command(quad_sub, "singular-count", _cmd_quad_singular_count,
+                     "count the singular vectors, zero excluded")
+    count.add_argument("--include-zero", action="store_true")
+    tss = _command(quad_sub, "tss", _cmd_quad_tss,
+                   "find a totally singular subspace")
+    tss.add_argument("--k", type=int, required=True)
 
     graph = sub.add_parser("srg", help="strongly regular graph checks")
     graph_sub = graph.add_subparsers(dest="subcommand", required=True)
-
-    p = graph_sub.add_parser("perp", help="certify the perp graph")
-    _add_space_source(p)
-    p.add_argument("--edges-out", help="write the edge list here")
-    _add_json_out(p)
-    p.set_defaults(func=_cmd_srg_perp)
-
-    p = graph_sub.add_parser("feasible", help="parameter feasibility scan")
+    perp = _command(graph_sub, "perp", _cmd_srg_perp,
+                    "certify the perp graph")
+    perp.add_argument("--edges-out", help="write the edge list here")
+    for p in (count, tss, perp):
+        _add_source(p, "--space", "form file", type=_space,
+                    help="h<m> hyperbolic or e<m> elliptic")
+    p = _command(graph_sub, "feasible", _cmd_srg_feasible,
+                 "parameter feasibility scan")
     p.add_argument("--v", type=_positive_int, required=True)
     p.add_argument("--k", type=_positive_int, required=True)
-    _add_json_out(p)
-    p.set_defaults(func=_cmd_srg_feasible)
 
     orders = sub.add_parser("orders", help="group order arithmetic")
     orders_sub = orders.add_subparsers(dest="subcommand", required=True)
-
-    p = orders_sub.add_parser("e6")
+    p = _command(orders_sub, "e6", _cmd_orders_e6, "the order of E6(q)")
     p.add_argument("--q", type=_positive_int, required=True)
-    _add_json_out(p)
-    p.set_defaults(func=_cmd_orders_e6)
-
-    p = orders_sub.add_parser("shape")
+    p = _command(orders_sub, "shape", _cmd_orders_shape,
+                 "the order of a group of dotted shape")
     p.add_argument("--shape", required=True,
                    help="dotted shape like 2^{27}.E6(2)")
     p.add_argument("--sylow", type=_positive_int, default=None,
                    help="also print this prime's part")
-    _add_json_out(p)
-    p.set_defaults(func=_cmd_orders_shape)
 
     rep = sub.add_parser("xrep", help="extraspecial representation checks")
     rep_sub = rep.add_subparsers(dest="subcommand", required=True)
-    p = rep_sub.add_parser("check")
-    _add_json_out(p)
-    p.set_defaults(func=_cmd_xrep_check)
+    _command(rep_sub, "check", _cmd_xrep_check,
+             "run the closure and character-norm checks")
 
     series = sub.add_parser("qseries", help="exact q-expansions")
     series_sub = series.add_subparsers(dest="subcommand", required=True)
-    p = series_sub.add_parser("t1")
+    p = _command(series_sub, "t1", _cmd_qseries_t1,
+                 "the graded dimensions of the orbifold, from q^-4/3")
     p.add_argument("--terms", type=_positive_int, default=6)
-    _add_json_out(p)
-    p.set_defaults(func=_cmd_qseries_t1)
 
     return parser
 

@@ -137,19 +137,9 @@ def hnf_basis(b: ScaledBasis) -> ScaledBasis:
     rows = hnf_int_rows([list(r) for r in b.mat])
     if not rows:
         raise ValueError("generators span the zero lattice")
-    g = b.den
-    for r in rows:
-        for x in r:
-            if x:
-                g = math.gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
-        rows = [[x // g for x in r] for r in rows]
-        den = b.den // g
-    else:
-        den = b.den
-    return ScaledBasis(tuple(tuple(r) for r in rows), den, b.frame_scale)
+    g = math.gcd(b.den, *(x for r in rows for x in r))
+    return ScaledBasis(tuple(tuple(x // g for x in r) for r in rows),
+                       b.den // g, b.frame_scale)
 
 
 # --------------------------------------------------------------------------
@@ -272,10 +262,7 @@ def quotient_invariants(outer: ScaledBasis, inner: ScaledBasis) -> tuple[int, ..
 
 
 def lattice_equal(a: ScaledBasis, b: ScaledBasis) -> bool:
-    if a.frame_scale != b.frame_scale:
-        return False
-    ca, cb = hnf_basis(a), hnf_basis(b)
-    return ca.mat == cb.mat and ca.den == cb.den
+    return hnf_basis(a) == hnf_basis(b)
 
 
 def dual(b: ScaledBasis) -> ScaledBasis:

@@ -351,7 +351,7 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("argv, code, lines, checks", GOLDEN,
-                         ids=[" ".join(g[0][:2]) + f"-{i}"
+                         ids=["-".join(g[0][:2]) + f"-{i}"
                               for i, g in enumerate(GOLDEN)])
 def test_golden_text_and_json(argv, code, lines, checks, tmp_path, capsys):
     exlat.write_lattice(exlat.hnf_basis(bw.bw16()), tmp_path / "bw16.lat")
