@@ -5,7 +5,8 @@ package: vector counts by exhaustive box enumeration bounded through an
 eigenvalue estimate, series roots by Newton iteration over rationals,
 group closures by products of dense matrices, transported quadratic
 forms by the matrix product T^T U T, glued lattices through an
-orthogonal direct sum.  Deliberately slow and simple.
+orthogonal direct sum, common-neighbour counts by one dense float
+matrix product.  Deliberately slow and simple.
 The small GF(2) matrix arithmetic and graph builders exist only to feed
 the tests; the largest totally singular dimension comes from a search
 over every totally singular subspace.
@@ -256,6 +257,45 @@ def from_edges(n: int, edges) -> srg.Graph:
             raise ValueError(f"edge ({i}, {j}) out of range for {n} vertices")
         a[i, j] = a[j, i] = True
     return srg.Graph(n, a)  # rejects loops
+
+
+def dense_srg_params(g: srg.Graph):
+    """srg_params's verdict from one dense float64 product A A, exact
+    because every partial sum is an integer of at most n < 2^53.
+
+    Returns srg.NotStronglyRegular as srg_params does, with the same
+    first failing pair in row-major order over i < j, or (v, k, lam, mu).
+    """
+    n = g.n
+    if n < 3:
+        return srg.NotStronglyRegular("too few vertices")
+    deg = g.degrees()
+    k = int(deg[0])
+    if (deg != k).any():
+        return srg.NotStronglyRegular("not regular",
+                                      (0, int(np.nonzero(deg != k)[0][0])))
+    a = g.adjacency
+    common = (a.astype(np.float64) @ a.astype(np.float64)).astype(np.int64)
+    iu, ju = np.triu_indices(n, 1)
+    adj_mask = a[iu, ju]
+    if not adj_mask.any():
+        return srg.NotStronglyRegular("no adjacent pairs")
+    if adj_mask.all():
+        return srg.NotStronglyRegular("complete graph: mu undefined")
+    counts = common[iu, ju]
+    found = {}
+    for name, mask in (("lambda", adj_mask), ("mu", ~adj_mask)):
+        pos = np.nonzero(mask)[0]
+        vals = counts[pos]
+        found[name] = int(vals[0])
+        bad = np.nonzero(vals != vals[0])[0]
+        if bad.size:
+            p = pos[bad[0]]
+            return srg.NotStronglyRegular(f"{name} varies",
+                                          (int(iu[p]), int(ju[p])))
+    if found["mu"] == 0:
+        return srg.NotStronglyRegular("not connected")
+    return n, k, found["lambda"], found["mu"]
 
 
 def complete_graph(n: int) -> srg.Graph:
