@@ -8,7 +8,7 @@ Submodules:
     srg       strongly regular graph certification and parameter feasibility
     gord      factored-integer arithmetic and classical/exceptional group orders
     xrep      extraspecial 2-groups as signed permutations, character norms
-    qser      exact integer q-expansions (E4, delta, j, its cube root)
+    qser      exact integer q-expansions (E4, Euler products, j, its cube root)
     verify    the consolidated check registry and machine-readable report
     cli       command-line frontend
 """

@@ -116,10 +116,16 @@ def _q_lanes(rows, x: np.ndarray) -> np.ndarray:
 def _q_words(s: QuadSpace) -> np.ndarray:
     """Bitsliced q: bit l of word h is q(64 h + l); lanes past 2^dim are 0.
 
-    Split x = lo + hi into its low 6 and its high coordinates; then
-    q(lo + hi) = q(lo) + q(hi) + B(lo, hi).  q(lo) is one constant word,
-    q(hi) one parity lane over the high values, and B(lo, hi) the sum of
-    one linear-form word B(., e_j) per high coordinate j set in hi.
+    Split x = lo + hi into its low 6 and its high coordinates, with
+    high prefix h = hi >> 6.  Word 0 holds q(lo) on the lanes.  The words
+    of the prefixes h < 2^(j-6) double to those of h + 2^(j-6), one high
+    coordinate j at a time, by
+
+        q(x + e_j) = q(x) + B(lo, e_j) + U_jj + B(hi, e_j):
+
+    the new half is the old one XORed with the linear-form word of
+    B(., e_j) on the lanes, and with all ones where U_jj + parity(h &
+    (B e_j >> 6)) is 1.  So q(hi) needs no pass of its own.
     """
     if s.dim > MAX_SWEEP_DIM:
         raise ValueError(f"dimension {s.dim} exceeds sweep guard {MAX_SWEEP_DIM}")
@@ -129,12 +135,17 @@ def _q_words(s: QuadSpace) -> np.ndarray:
     def pack(bits: np.ndarray) -> np.uint64:
         return np.bitwise_or.reduce(bits.astype(np.uint64) << lanes)
 
-    words = np.array([pack(_q_lanes(s.upper.bits[:low], lanes))])
+    words = np.empty(1 << (s.dim - low), dtype=np.uint64)
+    words[0] = pack(_q_lanes(s.upper.bits[:low], lanes))
+    prefixes = np.arange(len(words) // 2, dtype=np.uint64)
     for j in range(low, s.dim):
-        form = pack(np.bitwise_count(lanes & np.uint64(bilinear_image(s, 1 << j))) & 1)
-        words = np.concatenate([words, words ^ form])
-    high = np.arange(len(words), dtype=np.uint64)
-    return words ^ -_q_lanes([row >> low for row in s.upper.bits[low:]], high)
+        size = 1 << (j - low)
+        image = bilinear_image(s, 1 << j)
+        form = pack(np.bitwise_count(lanes & np.uint64(image)) & 1)
+        flip = (np.bitwise_count(prefixes[:size] & np.uint64(image >> low))
+                ^ (s.upper.bits[j] >> j & 1)) & 1
+        words[size:2 * size] = words[:size] ^ form ^ -flip.astype(np.uint64)
+    return words
 
 
 def singular_count(s: QuadSpace, include_zero: bool = False) -> int:

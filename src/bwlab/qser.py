@@ -91,36 +91,38 @@ class QSeries:
 
 
 def euler_product(n: int, exponent: int = 1) -> QSeries:
-    """prod_{k>=1} (1 - q^k)^exponent, n exact terms from q^0."""
+    """prod_{k>=1} (1 - q^k)^exponent, n exact terms from q^0.
+
+    The product itself is sum_k (-1)^k q^(k(3k-1)/2) over all integers k
+    (Euler's pentagonal number theorem), so it has O(sqrt n) nonzero
+    terms, the only ones the power recurrence reads.
+    """
     if n < 1:
         raise ValueError("need at least one term")
     coeffs = [0] * n
-    coeffs[0] = 1
-    for k in range(1, n):
-        for i in range(n - 1 - k, -1, -1):
-            coeffs[i + k] -= coeffs[i]
+    k = 0
+    while k * (3 * k - 1) // 2 < n:
+        for p in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if p < n:
+                coeffs[p] = (-1) ** k
+        k += 1
     return QSeries(0, tuple(coeffs)).power(exponent)
-
-
-def _sigma3(k: int) -> int:
-    return sum(d ** 3 for d in range(1, k + 1) if k % d == 0)
 
 
 def eisenstein4(n: int) -> QSeries:
     """E4 = 1 + 240 sum sigma_3(k) q^k, n exact terms."""
     if n < 1:
         raise ValueError("need at least one term")
-    return QSeries(0, (1,) + tuple(240 * _sigma3(k) for k in range(1, n)))
-
-
-def delta(n: int) -> QSeries:
-    """The weight-12 cusp form q prod (1 - q^k)^24, n exact terms from q^1."""
-    return QSeries(3, euler_product(n, 24).coeffs)
+    sigma3 = [0] * n
+    for d in range(1, n):
+        for m in range(d, n, d):
+            sigma3[m] += d ** 3
+    return QSeries(0, (1,) + tuple(240 * x for x in sigma3[1:]))
 
 
 def j_series(n: int) -> QSeries:
-    """j = E4^3 / Delta, n exact terms from q^{-1}."""
-    return eisenstein4(n).power(3).mul(delta(n).power(-1))
+    """j = E4^3 q^-1 prod (1 - q^k)^-24, n exact terms from q^{-1}."""
+    return QSeries(-3, eisenstein4(n).power(3).mul(euler_product(n, -24)).coeffs)
 
 
 def _certified_root_and_j(n: int) -> tuple[QSeries, QSeries]:

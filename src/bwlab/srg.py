@@ -19,6 +19,7 @@ import numpy as np
 from . import f2quad
 
 MAX_PERP_DIM = 12
+BLOCK_ROWS = 128  # rows of common-neighbour counts held at once
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,29 @@ def _eigen_data(v: int, k: int, lam: int, mu: int):
     return None, None, (v - 1) // 2, (v - 1) // 2
 
 
+def _common_neighbours(a: np.ndarray):
+    """(i0, C) for each block of BLOCK_ROWS rows from row i0, where
+    C[r, c] counts the common neighbours of vertices i0 + r and i0 + c:
+    popcounts of the adjacency rows, packed 64 vertices to a word."""
+    n = len(a)
+    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(a, axis=1, bitorder="little")
+    columns = np.ascontiguousarray(packed.view(np.uint64).T)  # word w of every row
+    for i0 in range(0, n, BLOCK_ROWS):
+        common = np.zeros((min(BLOCK_ROWS, n - i0), n - i0), dtype=np.uint32)
+        for col in columns:
+            common += np.bitwise_count(col[i0:i0 + BLOCK_ROWS, None] & col[i0:])
+        yield i0, common
+
+
 def srg_params(g: Graph):
-    """Exact SRG parameters by checking every pair, or NotStronglyRegular."""
+    """Exact SRG parameters by checking every pair, or NotStronglyRegular.
+
+    Pairs i < j are read in row-major order: lambda and mu are the counts
+    of the first adjacent and the first non-adjacent pair, a witness is
+    the first pair that breaks one, and every adjacent pair is checked
+    before a mu witness is reported.
+    """
     n = g.n
     if n < 3:
         return NotStronglyRegular("too few vertices")
@@ -107,27 +129,33 @@ def srg_params(g: Graph):
     if (deg != k).any():
         bad = int(np.nonzero(deg != k)[0][0])
         return NotStronglyRegular("not regular", (0, bad))
-    a = g.adjacency
-    # exact: every partial sum is an integer of at most n < 2^53
-    common = (a.astype(np.float64) @ a.astype(np.float64)).astype(np.int64)
-    iu, ju = np.triu_indices(n, 1)
-    adj_mask = a[iu, ju]
-    if not adj_mask.any():
+    if k == 0:
         return NotStronglyRegular("no adjacent pairs")
-    if adj_mask.all():
+    if k == n - 1:
         return NotStronglyRegular("complete graph: mu undefined")
-    adj_counts = common[iu, ju][adj_mask]
-    non_counts = common[iu, ju][~adj_mask]
-    lam = int(adj_counts[0])
-    mu = int(non_counts[0])
-    if (adj_counts != lam).any():
-        w = int(np.nonzero(adj_counts != lam)[0][0])
-        pos = np.nonzero(adj_mask)[0][w]
-        return NotStronglyRegular("lambda varies", (int(iu[pos]), int(ju[pos])))
-    if (non_counts != mu).any():
-        w = int(np.nonzero(non_counts != mu)[0][0])
-        pos = np.nonzero(~adj_mask)[0][w]
-        return NotStronglyRegular("mu varies", (int(iu[pos]), int(ju[pos])))
+    a = g.adjacency
+    first: dict[str, int] = {}
+    mu_witness = None
+    for i0, common in _common_neighbours(a):
+        upper = np.triu(np.ones(common.shape, dtype=bool), 1)
+        adj = a[i0:i0 + len(common), i0:]
+        for name, mask in (("lambda", upper & adj), ("mu", upper & ~adj)):
+            counts = common[mask]
+            if not counts.size:
+                continue
+            ref = first.setdefault(name, int(counts[0]))
+            bad = np.flatnonzero(counts != ref)
+            if not bad.size:
+                continue
+            r, c = np.nonzero(mask)
+            pair = (i0 + int(r[bad[0]]), i0 + int(c[bad[0]]))
+            if name == "lambda":
+                return NotStronglyRegular("lambda varies", pair)
+            if mu_witness is None:
+                mu_witness = pair
+    if mu_witness is not None:
+        return NotStronglyRegular("mu varies", mu_witness)
+    lam, mu = first["lambda"], first["mu"]
     if mu == 0:
         # every component is complete, and the graph is not: two or more
         return NotStronglyRegular("not connected")

@@ -17,7 +17,7 @@ from math import ceil, floor, gcd, sqrt
 
 import numpy as np
 
-from bwlab import bw, exlat, f2linalg, f2quad, srg
+from bwlab import bw, exlat, f2linalg, f2quad, qser, srg
 from bwlab.exlat import ScaledBasis
 from bwlab.f2linalg import F2Matrix
 
@@ -137,7 +137,24 @@ def glue_by_direct_sum(left: ScaledBasis, diag: ScaledBasis) -> ScaledBasis:
 
 
 # --------------------------------------------------------------------------
-# rational power series helpers for the q-expansion oracle
+# q-series by their defining products, and rational power series helpers
+# for the Newton oracle
+
+
+def euler_product_by_factors(n: int, exponent: int = 1) -> qser.QSeries:
+    """prod_{k>=1} (1 - q^k)^exponent to n terms, multiplying in one
+    factor 1 - q^k at a time before taking the power."""
+    coeffs = [0] * n
+    coeffs[0] = 1
+    for k in range(1, n):
+        for i in range(n - 1 - k, -1, -1):
+            coeffs[i + k] -= coeffs[i]
+    return qser.QSeries(0, tuple(coeffs)).power(exponent)
+
+
+def delta(n: int) -> qser.QSeries:
+    """The weight-12 cusp form q prod (1 - q^k)^24, n exact terms from q^1."""
+    return qser.QSeries(3, euler_product_by_factors(n, 24).coeffs)
 
 
 def poly_mul(a, b, n):

@@ -32,10 +32,10 @@ def test_elliptic_singular_counts():
 
 
 def test_counts_match_closed_forms():
-    for m in range(1, 6):
+    for m in (*range(1, 6), *range(8, 13)):
         h = fq.singular_count(fq.hyperbolic(m), include_zero=True)
         assert h == (1 << (2 * m - 1)) + (1 << (m - 1))
-    for m in range(1, 5):
+    for m in (*range(1, 5), *range(8, 13)):
         e = fq.singular_count(fq.elliptic(m), include_zero=True)
         assert e == (1 << (2 * m - 1)) - (1 << (m - 1))
 
@@ -78,12 +78,21 @@ def test_singular_vectors_are_the_singular_ones():
 
 
 def test_singular_vectors_match_brute_force_on_random_forms():
-    # dims below, at and above one 64-lane word; many forms are degenerate
+    # every even dim to 16, with forms moved by random transports; dims
+    # <= 6 fit in one 64-lane word and have no high coordinates, and
+    # many forms are degenerate
     rng = random.Random(37)
-    for dim in (2, 4, 6, 8, 12):
-        forms = [_random_upper(rng, dim) for _ in range(4)]
-        forms.append(fq.QuadSpace(dim, fl.F2Matrix(dim, dim, (0,) * dim)))
-        forms.append(fq.QuadSpace(dim, _oracles.identity(dim)))
+    for dim in range(2, 17, 2):
+        m = dim // 2
+        forms = [fq.transport(s, _oracles.random_invertible(dim, rng))
+                 for s in (fq.hyperbolic(m), fq.elliptic(m),
+                           _random_upper(rng, dim))]
+        if dim > 12:
+            forms = [rng.choice(forms)]
+        else:
+            forms += [_random_upper(rng, dim) for _ in range(4)]
+            forms.append(fq.QuadSpace(dim, fl.F2Matrix(dim, dim, (0,) * dim)))
+            forms.append(fq.QuadSpace(dim, _oracles.identity(dim)))
         for s in forms:
             brute = [x for x in range(1, 2 ** dim) if fq.eval_q(s, x) == 0]
             vecs = fq.singular_vectors(s)

@@ -1,5 +1,6 @@
 """Exact q-expansions, cross-checked by an independent Newton oracle."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ def test_eisenstein4_coefficients():
 
 
 def test_delta_is_the_ramanujan_tau_series():
-    d = qser.delta(12)
+    d = _oracles.delta(12)
     assert d.offset_thirds == 3
     assert d.coeffs == (1, -24, 252, -1472, 4830, -6048, -16744, 84480,
                         -113643, -115920, 534612, -370944)
@@ -29,6 +30,12 @@ def test_euler_product_inverse_counts_partitions():
     assert inv.coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 400])
+def test_pentagonal_euler_product_matches_the_factor_loop(n):
+    for e in (-24, -8, -1, 0, 1, 24):
+        assert qser.euler_product(n, e) == _oracles.euler_product_by_factors(n, e)
+
+
 def test_euler_product_to_the_zero_is_one():
     one = qser.euler_product(6, 0)
     assert one.offset_thirds == 0
@@ -36,9 +43,11 @@ def test_euler_product_to_the_zero_is_one():
 
 
 def test_j_series_classical_values():
-    j = qser.j_series(6)
+    j = qser.j_series(40)
     assert j.offset_thirds == -3
     assert j.coeffs[:5] == (1, 744, 196884, 21493760, 864299970)
+    # j = E4^3 / Delta, with Delta's product taken factor by factor
+    assert j == qser.eisenstein4(40).power(3).mul(_oracles.delta(40).power(-1))
 
 
 def test_cube_root_j_coefficients():
@@ -77,6 +86,14 @@ def test_t1_series_values():
     assert t1.coeffs[:3] == (1, 0, 139504)
     assert t1.coefficient(Fraction(2, 3)) == 139504
     assert all(c >= 0 for c in t1.coeffs)
+
+
+def test_t1_series_400_is_pinned():
+    t1 = qser.t1_series(400)
+    assert t1.offset_thirds == -4
+    text = ",".join(map(str, t1.coeffs)).encode()
+    assert hashlib.sha256(text).hexdigest() == \
+        "84d7fdc4d584d6160ece65ac164695375d74eafd5788db315a5032b0459d852a"
 
 
 def test_t1_divided_by_cube_root_recovers_j_shift():
@@ -166,6 +183,6 @@ def test_coefficient_window_errors():
 
 
 def test_terms_listing():
-    d = qser.delta(3)
+    d = _oracles.delta(3)
     assert d.terms() == [(Fraction(1), 1), (Fraction(2), -24),
                          (Fraction(3), 252)]
