@@ -19,7 +19,9 @@ the ones stored in U (Taylor, The Geometry of the Classical Groups, 1992).
 
 Type classification is decided by exhaustively counting singular
 vectors, never by formula; the counts are the ground truth downstream
-modules consume.
+modules consume.  The sweep tabulates q bitsliced, 64 vectors to a
+word, in one doubling loop from coordinate 0: q(x + e_j) = q(x) +
+B(x, e_j) + U_jj.
 """
 
 from __future__ import annotations
@@ -105,46 +107,38 @@ def is_nondegenerate(s: QuadSpace) -> bool:
     return rank(b) == s.dim
 
 
-def _q_lanes(rows, x: np.ndarray) -> np.ndarray:
-    """q(x) for each entry of x, for the upper-form rows on x's coordinates."""
-    acc = np.zeros(len(x), dtype=np.uint64)
-    for i, row in enumerate(rows):
-        acc ^= (x >> np.uint64(i)) & np.bitwise_count(x & np.uint64(row)) & 1
-    return acc
-
-
 def _q_words(s: QuadSpace) -> np.ndarray:
     """Bitsliced q: bit l of word h is q(64 h + l); lanes past 2^dim are 0.
 
-    Split x = lo + hi into its low 6 and its high coordinates, with
-    high prefix h = hi >> 6.  Word 0 holds q(lo) on the lanes.  The words
-    of the prefixes h < 2^(j-6) double to those of h + 2^(j-6), one high
-    coordinate j at a time, by
+    From q(0) = 0 the table doubles once per coordinate j, taking each
+    x = 64 h + l < 2^j to x + e_j by
 
-        q(x + e_j) = q(x) + B(lo, e_j) + U_jj + B(hi, e_j):
+        q(x + e_j) = q(x) + B(l, e_j) + parity(h & (B e_j >> 6)) + U_jj,
 
-    the new half is the old one XORed with the linear-form word of
-    B(., e_j) on the lanes, and with all ones where U_jj + parity(h &
-    (B e_j >> 6)) is 1.  So q(hi) needs no pass of its own.
+    with B(l, e_j) the linear-form word of B(., e_j) on the lanes.  For
+    j < 6 word 0's lanes [0, 2^j) go to [2^j, 2^(j+1)), where h = 0; for
+    j >= 6 the words of the prefixes h < 2^(j-6) go to those of
+    h + 2^(j-6), XORed with all ones where the last two terms sum to 1.
     """
     if s.dim > MAX_SWEEP_DIM:
         raise ValueError(f"dimension {s.dim} exceeds sweep guard {MAX_SWEEP_DIM}")
-    low = min(s.dim, 6)
-    lanes = np.arange(1 << low, dtype=np.uint64)
-
-    def pack(bits: np.ndarray) -> np.uint64:
-        return np.bitwise_or.reduce(bits.astype(np.uint64) << lanes)
-
-    words = np.empty(1 << (s.dim - low), dtype=np.uint64)
-    words[0] = pack(_q_lanes(s.upper.bits[:low], lanes))
+    lanes = np.arange(64, dtype=np.uint64)
+    words = np.zeros(1 << max(s.dim - 6, 0), dtype=np.uint64)
     prefixes = np.arange(len(words) // 2, dtype=np.uint64)
-    for j in range(low, s.dim):
-        size = 1 << (j - low)
+    for j in range(s.dim):
         image = bilinear_image(s, 1 << j)
-        form = pack(np.bitwise_count(lanes & np.uint64(image)) & 1)
-        flip = (np.bitwise_count(prefixes[:size] & np.uint64(image >> low))
-                ^ (s.upper.bits[j] >> j & 1)) & 1
-        words[size:2 * size] = words[:size] ^ form ^ -flip.astype(np.uint64)
+        form = np.bitwise_or.reduce(
+            (np.bitwise_count(lanes & np.uint64(image)) & 1) << lanes)
+        diag = s.upper.bits[j] >> j & 1
+        if j < 6:
+            half = (1 << (1 << j)) - 1  # lanes [0, 2^j)
+            words[0] |= ((words[0] ^ form ^ np.uint64(half * diag))
+                         & np.uint64(half)) << np.uint64(1 << j)
+        else:
+            size = 1 << (j - 6)
+            flip = (np.bitwise_count(prefixes[:size] & np.uint64(image >> 6))
+                    ^ diag) & 1
+            words[size:2 * size] = words[:size] ^ form ^ -flip.astype(np.uint64)
     return words
 
 

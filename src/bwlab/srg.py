@@ -3,10 +3,12 @@
 The graph delivered here is the perpendicularity graph on the nonzero
 singular vectors of a GF(2) quadratic space (adjacency: B(x, y) = 0,
 x != y), certified strongly regular by counting common neighbours of
-every vertex pair; mu >= 1 puts every pair within distance 2, so the
-graph is connected, and mu = 0 makes every component complete (Brouwer
-and Van Maldeghem, Strongly Regular Graphs, 2022).  feasible_pairs
-solves the parameter arithmetic for a given (v, k) exhaustively.
+every vertex pair: lambda and mu are read off row 0, and each block of
+rows is checked against them with one mismatch mask.  mu >= 1 puts
+every pair within distance 2, so the graph is connected, and mu = 0
+makes every component complete (Brouwer and Van Maldeghem, Strongly
+Regular Graphs, 2022).  feasible_pairs solves the parameter arithmetic
+for a given (v, k) exhaustively.
 """
 
 from __future__ import annotations
@@ -98,28 +100,16 @@ def _eigen_data(v: int, k: int, lam: int, mu: int):
     return None, None, (v - 1) // 2, (v - 1) // 2
 
 
-def _common_neighbours(a: np.ndarray):
-    """(i0, C) for each block of BLOCK_ROWS rows from row i0, where
-    C[r, c] counts the common neighbours of vertices i0 + r and i0 + c:
-    popcounts of the adjacency rows, packed 64 vertices to a word."""
-    n = len(a)
-    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
-    packed[:, :-(-n // 8)] = np.packbits(a, axis=1, bitorder="little")
-    columns = np.ascontiguousarray(packed.view(np.uint64).T)  # word w of every row
-    for i0 in range(0, n, BLOCK_ROWS):
-        common = np.zeros((min(BLOCK_ROWS, n - i0), n - i0), dtype=np.uint32)
-        for col in columns:
-            common += np.bitwise_count(col[i0:i0 + BLOCK_ROWS, None] & col[i0:])
-        yield i0, common
-
-
 def srg_params(g: Graph):
     """Exact SRG parameters by checking every pair, or NotStronglyRegular.
 
     Pairs i < j are read in row-major order: lambda and mu are the counts
-    of the first adjacent and the first non-adjacent pair, a witness is
-    the first pair that breaks one, and every adjacent pair is checked
-    before a mu witness is reported.
+    of the first adjacent and the first non-adjacent pair, both in row 0
+    of a regular graph with 1 <= k <= n - 2; a witness is the first pair
+    that breaks one, and every adjacent pair is checked before a mu
+    witness is reported.  Common neighbours are popcounts of the
+    adjacency rows packed 64 vertices to a word, BLOCK_ROWS rows at a
+    time against the vertices from the block's first row on.
     """
     n = g.n
     if n < 3:
@@ -134,28 +124,28 @@ def srg_params(g: Graph):
     if k == n - 1:
         return NotStronglyRegular("complete graph: mu undefined")
     a = g.adjacency
-    first: dict[str, int] = {}
+    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(a, axis=1, bitorder="little")
+    columns = np.ascontiguousarray(packed.view(np.uint64).T)  # word w of every row
     mu_witness = None
-    for i0, common in _common_neighbours(a):
-        upper = np.triu(np.ones(common.shape, dtype=bool), 1)
+    for i0 in range(0, n, BLOCK_ROWS):
+        common = np.zeros((min(BLOCK_ROWS, n - i0), n - i0), dtype=np.uint32)
+        for col in columns:
+            common += np.bitwise_count(col[i0:i0 + BLOCK_ROWS, None] & col[i0:])
         adj = a[i0:i0 + len(common), i0:]
-        for name, mask in (("lambda", upper & adj), ("mu", upper & ~adj)):
-            counts = common[mask]
-            if not counts.size:
-                continue
-            ref = first.setdefault(name, int(counts[0]))
-            bad = np.flatnonzero(counts != ref)
-            if not bad.size:
-                continue
-            r, c = np.nonzero(mask)
-            pair = (i0 + int(r[bad[0]]), i0 + int(c[bad[0]]))
-            if name == "lambda":
-                return NotStronglyRegular("lambda varies", pair)
-            if mu_witness is None:
-                mu_witness = pair
+        if i0 == 0:
+            lam = int(common[0, np.argmax(adj[0])])
+            mu = int(common[0, 1 + np.argmin(adj[0, 1:])])
+        r, c = np.nonzero(np.triu(common != np.where(adj, lam, mu), 1))
+        on_edge = np.flatnonzero(adj[r, c])
+        if on_edge.size:
+            e = on_edge[0]
+            return NotStronglyRegular("lambda varies",
+                                      (i0 + int(r[e]), i0 + int(c[e])))
+        if r.size and mu_witness is None:
+            mu_witness = (i0 + int(r[0]), i0 + int(c[0]))
     if mu_witness is not None:
         return NotStronglyRegular("mu varies", mu_witness)
-    lam, mu = first["lambda"], first["mu"]
     if mu == 0:
         # every component is complete, and the graph is not: two or more
         return NotStronglyRegular("not connected")

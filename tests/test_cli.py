@@ -79,17 +79,6 @@ def test_enumerate_count_only(capsys):
     assert stdout.strip() == "4320"
 
 
-def test_enumerate_json_report(capsys):
-    code, stdout, _ = _run(capsys, "lattice", "enumerate", "--lattice",
-                           "bw16", "--norm", "4", "--json")
-    assert code == 0
-    report = json.loads(stdout)
-    (check,) = report["checks"]
-    assert check["id"] == "lattice.bw16.norm-4-count"
-    assert check["actual"] == "4320"
-    assert report["pass"] is True
-
-
 def test_lattice_build_writes_basis_not_report(tmp_path, capsys):
     path = tmp_path / "bw16.lat"
     code, stdout, _ = _run(capsys, "lattice", "build", "--lattice", "bw16",
@@ -177,38 +166,6 @@ def test_srg_perp_rejects_degenerate_space(capsys):
         assert code == 1
         assert stdout.startswith("not strongly regular")
         assert "too few vertices" in stdout
-
-
-def test_srg_feasible_scan(capsys):
-    code, stdout, _ = _run(capsys, "srg", "feasible", "--v", "139503",
-                           "--k", "4590")
-    assert code == 0
-    lines = stdout.strip().splitlines()
-    assert lines[0].endswith(": 1")
-    assert lines[1] == "(621, 135, 495, -9, 2482, 137020)"
-
-
-def test_orders_e6_exact(capsys):
-    code, stdout, _ = _run(capsys, "orders", "e6", "--q", "2")
-    assert code == 0
-    assert stdout.strip() == "2^36·3^6·5^2·7^3·13·17·31·73"
-
-
-def test_orders_shape_with_sylow(capsys):
-    code, stdout, _ = _run(capsys, "orders", "shape", "--shape",
-                           "2^{27}.E6(2)", "--sylow", "2")
-    assert code == 0
-    lines = stdout.strip().splitlines()
-    assert lines[0] == "2^63·3^6·5^2·7^3·13·17·31·73"
-    assert lines[1] == "2-part: 2^63"
-
-
-def test_xrep_check(capsys):
-    code, stdout, _ = _run(capsys, "xrep", "check")
-    assert code == 0
-    lines = stdout.strip().splitlines()
-    assert len(lines) == 4
-    assert all(line.startswith("[ok]") for line in lines)
 
 
 def test_qseries_t1_terms(capsys):

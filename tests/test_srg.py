@@ -284,6 +284,10 @@ def test_from_edges_validation():
     one_way[0, 1] = True
     with pytest.raises(ValueError):
         srg.Graph(3, one_way)
+    with pytest.raises(ValueError, match="adjacency shape mismatch"):
+        srg.Graph(3, np.zeros((3, 4), dtype=bool))
+    with pytest.raises(ValueError, match="adjacency must be boolean"):
+        srg.Graph(3, np.zeros((3, 3), dtype=np.uint8))
 
 
 def test_edges_file_roundtrip(tmp_path):
