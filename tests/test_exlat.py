@@ -89,6 +89,71 @@ def test_unimodular_row_operations_fix_the_lattice():
         assert exlat.lattice_equal(mixed, b)
 
 
+def _random_generators(rng) -> list[list[int]]:
+    """Up to 12 integer rows of up to 8 entries in [-20, 20], with zero
+    rows, zero columns and rows that are combinations of earlier rows."""
+    ncols = rng.randint(1, 8)
+    rows = [[rng.randint(-20, 20) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 12))]
+    for c in range(ncols):
+        if rng.random() < 0.15:
+            for r in rows:
+                r[c] = 0
+    for k in range(len(rows)):
+        u = rng.random()
+        if u < 0.1:
+            rows[k] = [0] * ncols
+        elif u < 0.3 and k:
+            cs = [rng.randint(-3, 3) for _ in range(k)]
+            rows[k] = [sum(c * r[j] for c, r in zip(cs, rows))
+                       for j in range(ncols)]
+    return rows
+
+
+def _regenerated(rows, rng) -> list[list[int]]:
+    """Other generators of the same row lattice: row additions, sign
+    flips, a shuffle, and appended integer combinations of the rows."""
+    rows = [list(r) for r in rows]
+    for _ in range(20):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            c = rng.randint(-4, 4)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    for _ in range(rng.randint(0, 3)):
+        cs = [rng.randint(-3, 3) for _ in rows]
+        rows.append([sum(c * r[j] for c, r in zip(cs, rows))
+                     for j in range(len(rows[0]))])
+    return rows
+
+
+def test_hnf_int_rows_is_a_canonical_form_of_the_row_lattice():
+    rng = random.Random(22)
+    full = 0
+    for _ in range(300):
+        rows = _random_generators(rng)
+        H = exlat.hnf_int_rows(rows)
+        # the same output from any other generators of the lattice
+        for _ in range(3):
+            assert exlat.hnf_int_rows(_regenerated(rows, rng)) == H
+        # echelon shape: strictly increasing pivot columns, positive
+        # pivots, the entries above each pivot reduced into [0, pivot)
+        assert len(H) == DomainMatrix.from_list(rows, ZZ).rank()
+        pivots = [next(c for c, x in enumerate(r) if x) for r in H]
+        assert pivots == sorted(set(pivots))
+        for k, c in enumerate(pivots):
+            assert H[k][c] > 0
+            assert all(0 <= H[j][c] < H[k][c] for j in range(k))
+        # full column rank: the covolume agrees with sympy's HNF
+        if len(H) == len(rows[0]):
+            full += 1
+            W = hermite_normal_form(Matrix(rows).T)
+            assert (Matrix(H) * Matrix(H).T).det() == (W.T * W).det()
+    assert full >= 100
+
+
 # --------------------------------------------------------------------------
 # gram, determinant, parity
 
