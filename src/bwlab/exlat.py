@@ -103,31 +103,24 @@ def hnf_int_rows(rows: list[list[int]]) -> list[list[int]]:
     nrows, ncols = len(m), len(m[0])
     pr = 0
     for c in range(ncols):
-        pivot_found = False
-        for j in range(pr, nrows):
-            if m[j][c] == 0:
-                continue
-            if not pivot_found:
-                m[pr], m[j] = m[j], m[pr]
-                pivot_found = True
-            else:
-                a, b = m[pr][c], m[j][c]
-                g, u, v = _ext_gcd(a, b)
-                p, q = a // g, b // g
-                rp = [u * x + v * y for x, y in zip(m[pr], m[j])]
-                rj = [p * y - q * x for x, y in zip(m[pr], m[j])]
-                m[pr], m[j] = rp, rj
-        if pivot_found:
-            if m[pr][c] < 0:
-                m[pr] = [-x for x in m[pr]]
-            p = m[pr][c]
-            for j in range(pr):
-                f = m[j][c] // p
-                if f:
-                    m[j] = [x - f * y for x, y in zip(m[j], m[pr])]
-            pr += 1
-            if pr == nrows:
-                break
+        nz = [j for j in range(pr, nrows) if m[j][c]]
+        if not nz:
+            continue
+        m[pr], m[nz[0]] = m[nz[0]], m[pr]
+        for j in nz[1:]:
+            a, b = m[pr][c], m[j][c]
+            g, u, v = _ext_gcd(a, b)
+            p, q = a // g, b // g
+            m[pr], m[j] = ([u * x + v * y for x, y in zip(m[pr], m[j])],
+                           [p * y - q * x for x, y in zip(m[pr], m[j])])
+        if m[pr][c] < 0:
+            m[pr] = [-x for x in m[pr]]
+        p = m[pr][c]
+        for j in range(pr):
+            f = m[j][c] // p
+            if f:
+                m[j] = [x - f * y for x, y in zip(m[j], m[pr])]
+        pr += 1
     return m[:pr]
 
 
@@ -399,7 +392,7 @@ def _expand_stage(L: np.ndarray, i: int, C, PN, free: bool, r2: float):
 
 
 def _search(b: ScaledBasis, T: int, keep: bool = False):
-    """Depth-first over chunks of the pruned tree out to the integer radius T.
+    """Depth-first over the pruned tree out to the integer radius T.
 
     Returns the histogram {t: count} of every exact integer norm
     0 < t <= T (norms |x . mat|^2 in lll_reduce(b)'s integer frame) and,
@@ -409,16 +402,18 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
     of norm t <= T passes every pruning test with at least the slack of
     a norm-T vector; each leaf's norm is then confirmed in int64.  The
     root is free (the leading nonzero coordinate is positive), so each
-    leaf stands for the pair {v, -v}.  A stack entry holds one (t, idx)
-    pair per set level, coordinates r-1 downwards, where idx points into
-    the level above, and the centre terms C of its nodes, level-major
-    (the root's are zeros((r, 1))).  A level of more than _CHUNK nodes is
-    split into column chunks C[:, sl] that share its parents, and only
-    the first holds the all-zero prefix, in column 0.  So a stage holds
-    at most _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the least
-    Cholesky diagonal entry: traced peaks of about 7 MiB for BW16 out to
-    norm 8 and 17 MiB for BW32 out to norm 4.  Leaves rebuild their
-    coordinates X by walking idx upwards, then V = X . mat.
+    leaf stands for the pair {v, -v}.  A stack entry is one stage: the
+    count i of free coordinates, one (t, idx) pair per set level,
+    coordinates r-1 downwards, idx pointing into the level above, and
+    the centre terms C of its nodes, level-major (the root's are
+    zeros((r, 1))).  Popping a stage with i > 0 expands it once and
+    pushes its children in column slices C[:, sl] of _CHUNK nodes that
+    share their parents, the all-zero prefix in column 0 of the first;
+    the leaves (i = 0) are pushed as one stage.  So a stage holds at
+    most _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the
+    least Cholesky diagonal entry: traced peaks of about 7 MiB for BW16
+    out to norm 8 and 17 MiB for BW32 out to norm 4.  Popping the leaves
+    rebuilds their coordinates X by walking idx upwards, then V = X . mat.
     """
     red = lll_reduce(b)
     M = np.array(red.mat, dtype=np.int64)
@@ -434,22 +429,15 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
     stack = [(r, (), np.zeros((r, 1)), np.zeros(1), True)]
     while stack:
         i, levels, C, PN, free = stack.pop()
-        while i > 0:
+        if i > 0:
             out = _expand_stage(L, i - 1, C, PN, free, r2)
-            if out is None:
-                levels = None
-                break
-            t, idx, C, PN = out
-            levels += ((t, idx),)
-            i -= 1
-            if len(t) > _CHUNK and i > 0:
-                for k in range(0, len(t), _CHUNK):
-                    sl = slice(k, k + _CHUNK)
-                    stack.append((i, levels[:-1] + ((t[sl], idx[sl]),),
+            if out is not None:
+                t, idx, C, PN = out
+                step = _CHUNK if i > 1 else len(t)
+                for k in range(0, len(t), step):
+                    sl = slice(k, k + step)
+                    stack.append((i - 1, levels + ((t[sl], idx[sl]),),
                                   C[:, sl], PN[sl], free and k == 0))
-                levels = None
-                break
-        if levels is None:
             continue
         # rebuild X from the parent chains; confirm every candidate in int64
         X = np.empty((len(PN), r), dtype=np.int64)

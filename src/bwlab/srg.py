@@ -67,10 +67,11 @@ def perp_graph(s: f2quad.QuadSpace) -> Graph:
     """Vertices: nonzero singular vectors (lex order); edges: B(x,y) = 0."""
     if s.dim > MAX_PERP_DIM:
         raise ValueError(f"dimension {s.dim} exceeds graph guard {MAX_PERP_DIM}")
-    verts = np.array(f2quad.singular_vectors(s), dtype=np.uint64)
+    # MAX_PERP_DIM = 12 <= 16 keeps every vertex and image in a uint16
+    verts = np.array(f2quad.singular_vectors(s), dtype=np.uint16)
     n = len(verts)
     images = np.array([f2quad.bilinear_image(s, int(x)) for x in verts],
-                      dtype=np.uint64)
+                      dtype=np.uint16)
     pair = np.bitwise_count(images[:, None] & verts) & 1
     adj = (pair == 0) & ~np.eye(n, dtype=bool)
     return Graph(n, adj)

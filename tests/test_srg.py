@@ -238,6 +238,25 @@ def test_perp_graph_adjacency_is_bilinear_orthogonality():
                 assert a[i, j] == (i != j and f2quad.eval_b(s, x, y) == 0)
 
 
+@pytest.mark.parametrize("space, eps, params", [
+    (f2quad.hyperbolic, 1, (2079, 1054, 541, 527, 31, -17, 714, 1364)),
+    (f2quad.elliptic, -1, (2015, 990, 477, 495, 15, -33, 1364, 650)),
+])
+def test_perp_graph_at_the_dimension_guard(space, eps, params):
+    # the polar graph of O^eps(2m, q), q = 2, at 2m = MAX_PERP_DIM:
+    # v, k and mu from the closed forms, lambda from
+    # k (k - lambda - 1) = (v - k - 1) mu
+    q, m = 2, srg.MAX_PERP_DIM // 2
+    v = (q ** m - eps) * (q ** (m - 1) + eps) // (q - 1)
+    k = q * (q ** (m - 1) - eps) * (q ** (m - 2) + eps) // (q - 1)
+    mu = (q ** (m - 1) - eps) * (q ** (m - 2) + eps) // (q - 1)
+    lam = k - 1 - (v - k - 1) * mu // k
+    assert k * (k - lam - 1) == (v - k - 1) * mu
+    assert params[:4] == (v, k, lam, mu)
+    p = srg.srg_params(srg.perp_graph(space(m)))
+    assert (p.v, p.k, p.lam, p.mu, p.r, p.s, p.f, p.g) == params
+
+
 def test_perp_graph_dimension_guard():
     with pytest.raises(ValueError):
         srg.perp_graph(f2quad.hyperbolic(7))
