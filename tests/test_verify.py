@@ -1,5 +1,9 @@
 """Report plumbing: registry shape, schema, determinism, error capture."""
 
+import hashlib
+import json
+from itertools import groupby
+
 import pytest
 
 from bwlab import verify
@@ -57,6 +61,24 @@ def test_registry_counts_and_slow_gating(fast_report):
     assert len(fast_report["checks"]) == 52
     assert fast_ids.isdisjoint(SLOW_IDS)
     assert fast_ids == {c.id for c in all_checks if not c.slow}
+
+
+# sha256 of the ordered [id, paper_location, expected, slow] of every check
+REGISTRY_SHA256 = (
+    "5a7dfae541b1f55bbafe097321cd69f7b66c96e3b1e3464c8a7aec1f5291da2d")
+MODULE_GROUPS = [("code", 2), ("lattice", 19), ("quad", 7), ("srg", 3),
+                 ("orders", 6), ("rep", 4), ("series", 5), ("ledger", 12)]
+
+
+def test_registry_order_pinned():
+    all_checks = [c for checks in verify.build_registry().values()
+                  for c in checks]
+    rows = [[c.id, c.paper_location, c.expected, c.slow] for c in all_checks]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == REGISTRY_SHA256
+    groups = [(module, len(list(run))) for module, run in
+              groupby(c.id.split(".")[0] for c in all_checks)]
+    assert groups == MODULE_GROUPS
 
 
 def test_report_deterministic_modulo_timing(fast_report):
