@@ -19,7 +19,6 @@ from dataclasses import astuple
 from fractions import Fraction
 
 from . import bw, exlat, f2quad, gord, qser, srg, verify
-from .verify import CheckResult
 
 
 def _positive_int(text: str) -> int:
@@ -89,11 +88,11 @@ def _emit(args, report: dict, text_lines: list[str]) -> int:
 def _facts(args, prefix: str, facts, lines=None) -> int:
     """Report each informational (name, location, value) as the passing
     check prefix.name; print lines, or "name = value" per fact."""
-    results = [CheckResult(f"{prefix}.{name}", loc, str(v), str(v), True, 0)
-               for name, loc, v in facts]
+    rows = [verify.result(f"{prefix}.{name}", loc, str(v), str(v))
+            for name, loc, v in facts]
     if lines is None:
         lines = [f"{name} = {v}" for name, _, v in facts]
-    return _emit(args, verify.make_report(results), lines)
+    return _emit(args, verify.make_report(rows), lines)
 
 
 # --------------------------------------------------------------------------
@@ -168,8 +167,8 @@ def _cmd_srg_perp(args) -> int:
         srg.write_edges(g, args.edges_out)
     params = srg.srg_params(g)
     if isinstance(params, srg.NotStronglyRegular):
-        fail = CheckResult(f"srg.{label}.params", "2.5",
-                           "strongly regular", str(params), False, 0)
+        fail = verify.result(f"srg.{label}.params", "2.5",
+                             "strongly regular", str(params))
         return _emit(args, verify.make_report([fail]),
                      [f"not strongly regular: {params}"])
     tup = astuple(params)
@@ -203,10 +202,11 @@ def _cmd_orders_shape(args) -> int:
 
 
 def _cmd_xrep_check(args) -> int:
-    results = [verify.run_check(c) for c in verify.build_registry()["rep"]]
-    lines = [f"[{'ok' if r.passed else 'FAIL'}] {r.id}: {r.actual}"
-             for r in results]
-    return _emit(args, verify.make_report(results), lines)
+    rows = [verify.run_check(c) for c in verify.checks()
+            if c.id.startswith("rep.")]
+    lines = [f"[{'ok' if r['pass'] else 'FAIL'}] {r['id']}: {r['actual']}"
+             for r in rows]
+    return _emit(args, verify.make_report(rows), lines)
 
 
 def _cmd_qseries_t1(args) -> int:

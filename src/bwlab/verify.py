@@ -2,9 +2,11 @@
 
 Each numeric claim the package certifies is registered once as a Check:
 a stable id, a short source locator, a frozen expected value, and a
-thunk that recomputes the actual value from scratch.  run_all executes
-the registry in a fixed order and assembles one JSON-serializable
-report.  The slow flag holds back two tree searches, BW32 out to norm 4
+thunk that recomputes the actual value from scratch.  checks() lists
+them in one fixed order, and an id's first dotted part names its
+module.  run_all turns each into one report row, which passes exactly
+when its actual value equals the expected one, and assembles one
+JSON-serializable report.  The slow flag holds back two tree searches, BW32 out to norm 4
 and bw1 out to norm 8, and every check that reads them;
 srg.h5-perp (about 10 ms) and lattice.bw32-norm4-generates (about 1 ms)
 are slow only so that the fast sweep stays at 52 checks.
@@ -42,60 +44,47 @@ class Check:
     slow: bool = False
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    id: str
-    paper_location: str
-    expected: str
-    actual: str
-    passed: bool
-    runtime_ms: int
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "paper_location": self.paper_location,
-            "expected": self.expected,
-            "actual": self.actual,
-            "pass": self.passed,
-            "runtime_ms": self.runtime_ms,
-        }
+def result(id: str, paper_location: str, expected: str, actual: str,
+           runtime_ms: int = 0) -> dict:
+    """One report row; it passes exactly when actual equals expected."""
+    return {"id": id, "paper_location": paper_location, "expected": expected,
+            "actual": actual, "pass": actual == expected,
+            "runtime_ms": runtime_ms}
 
 
-def run_check(check: Check) -> CheckResult:
-    """Evaluate one thunk; exceptions become failing results, never raises."""
+def run_check(check: Check) -> dict:
+    """Evaluate one thunk into a report row; exceptions become failing rows,
+    never raised."""
     start = time.perf_counter()
     try:
         actual = str(check.thunk())
     except Exception as exc:  # noqa: BLE001 - report must survive any check
         actual = f"error: {type(exc).__name__}: {exc}"
     ms = int(round((time.perf_counter() - start) * 1000))
-    return CheckResult(check.id, check.paper_location, check.expected,
-                       actual, actual == check.expected, ms)
+    return result(check.id, check.paper_location, check.expected, actual, ms)
 
 
-# --------------------------------------------------------------------------
-# per-module check definitions
+def checks() -> list[Check]:
+    """Every check, in fixed order; an id's first dotted part names its
+    module."""
+    def h2_params():
+        p = srg.srg_params(srg.perp_graph(f2quad.hyperbolic(2)))
+        return (p.v, p.k, p.lam, p.mu)
 
+    def h5_params():
+        p = srg.srg_params(srg.perp_graph(f2quad.hyperbolic(5)))
+        return (p.v, p.k, p.lam, p.mu, p.r, p.s, p.f, p.g)
 
-def _code_checks() -> list[Check]:
+    def feasible():
+        return [(p.lam, p.mu, p.r, p.s, p.f, p.g)
+                for p in srg.feasible_pairs(139503, 4590)]
+
     return [
         Check("code.rm14-dimension", "1.1", "5",
               lambda: f2linalg.rank(f2linalg.rm14())),
         Check("code.rm14-weights", "1.1", "{0: 1, 8: 30, 16: 1}",
               lambda: dict(sorted(
                   f2linalg.weight_enumerator(f2linalg.rm14()).items()))),
-    ]
-
-
-def _lattice_checks() -> list[Check]:
-    def kiss16():
-        return exlat.enumerate_norm(bw.bw16(), 4)
-
-    def kiss32():
-        return exlat.enumerate_norm(bw.bw32(), 4)
-
-    return [
         Check("lattice.bw16-even", "1.1", "True",
               lambda: exlat.is_even(exlat.gram(bw.bw16()))),
         Check("lattice.bw16-det", "1.1", "256",
@@ -106,7 +95,8 @@ def _lattice_checks() -> list[Check]:
                                                 bw.bw16())),
         Check("lattice.bw16-min", "1.5", "4",
               lambda: exlat.minimum_norm(bw.bw16())),
-        Check("lattice.bw16-kissing", "1.5", "4320", kiss16),
+        Check("lattice.bw16-kissing", "1.5", "4320",
+              lambda: exlat.enumerate_norm(bw.bw16(), 4)),
         Check("lattice.bw16-norm4-generates", "1.1", "True",
               lambda: exlat.generated_by_norm_vectors(bw.bw16(), 4)),
         Check("lattice.bw32-even", "1.1", "True",
@@ -117,7 +107,8 @@ def _lattice_checks() -> list[Check]:
               lambda: exlat.lattice_equal(exlat.dual(bw.bw32()), bw.bw32())),
         Check("lattice.bw32-norm2-count", "1.1", "0",
               lambda: exlat.enumerate_norm(bw.bw32(), 2)),
-        Check("lattice.bw32-kissing", "2.1", "146880", kiss32, slow=True),
+        Check("lattice.bw32-kissing", "2.1", "146880",
+              lambda: exlat.enumerate_norm(bw.bw32(), 4), slow=True),
         Check("lattice.bw32-min", "1.1", "4",
               lambda: exlat.minimum_norm(bw.bw32()), slow=True),
         # ~1 ms by the LLL witness; slow so the fast sweep keeps 52 checks
@@ -139,11 +130,6 @@ def _lattice_checks() -> list[Check]:
         Check("lattice.similarity32-full", "1.1", "True",
               lambda: bw.similarity_invariants(bw.bw1(), bw.bw32(), 2, (2, 4)),
               slow=True),
-    ]
-
-
-def _quad_checks() -> list[Check]:
-    return [
         Check("quad.singular-counts", "1.5", "(2, 9, 35, 135, 527)",
               lambda: tuple(f2quad.singular_count(f2quad.hyperbolic(m))
                             for m in range(1, 6))),
@@ -161,34 +147,12 @@ def _quad_checks() -> list[Check]:
                   f2quad.hyperbolic(5), 5) is not None),
         Check("quad.h2-isometries", "1.5", "(72, 36)",
               lambda: f2quad.isometry_counts(f2quad.hyperbolic(2))),
-    ]
-
-
-def _srg_checks() -> list[Check]:
-    def h2_params():
-        p = srg.srg_params(srg.perp_graph(f2quad.hyperbolic(2)))
-        return (p.v, p.k, p.lam, p.mu)
-
-    def h5_params():
-        p = srg.srg_params(srg.perp_graph(f2quad.hyperbolic(5)))
-        return (p.v, p.k, p.lam, p.mu, p.r, p.s, p.f, p.g)
-
-    def feasible():
-        return [(p.lam, p.mu, p.r, p.s, p.f, p.g)
-                for p in srg.feasible_pairs(139503, 4590)]
-
-    return [
         Check("srg.h2-perp", "2.5", "(9, 4, 1, 2)", h2_params),
         Check("srg.h5-perp", "2.5",
               "(527, 270, 141, 135, 15, -9, 186, 340)", h5_params,
               slow=True),
         Check("srg.feasible-pairs", "2.6-2.7",
               "[(621, 135, 495, -9, 2482, 137020)]", feasible),
-    ]
-
-
-def _orders_checks() -> list[Check]:
-    return [
         Check("orders.e6-q2", "2.6-2.7", "2^36·3^6·5^2·7^3·13·17·31·73",
               lambda: gord.e6_order(2)),
         Check("orders.omega-plus-10-2", "2.6-2.7", "2^20·3^5·5^2·7·17·31",
@@ -205,11 +169,6 @@ def _orders_checks() -> list[Check]:
         Check("orders.aut-shape", "2.8",
               "2^63·3^6·5^2·7^3·13·17·31·73",
               lambda: gord.shape_order("2^{27}.E6(2)")),
-    ]
-
-
-def _rep_checks() -> list[Check]:
-    return [
         Check("rep.closure-orders", "1.1", "(8, 32, 128, 512)",
               lambda: tuple(len(xrep.closure(xrep.extraspecial_plus(m)))
                             for m in range(1, 5))),
@@ -224,11 +183,6 @@ def _rep_checks() -> list[Check]:
         Check("rep.reducible-control", "1.1", "4",
               lambda: xrep.char_norm(
                   xrep.block_double(xrep.extraspecial_plus(2)))),
-    ]
-
-
-def _series_checks() -> list[Check]:
-    return [
         Check("series.j-coefficients", "intro", "(1, 744, 196884)",
               lambda: qser.j_series(6).coeffs[:3]),
         Check("series.cube-root-j", "intro", "(1, 248, 4124, 34752)",
@@ -239,12 +193,7 @@ def _series_checks() -> list[Check]:
               lambda: qser.t1_series(6).coeffs[:3]),
         Check("series.t1-nonnegative", "intro", "True",
               lambda: all(c >= 0 for c in qser.t1_series(6).coeffs)),
-    ]
-
-
-def _ledger_defs() -> list[Check]:
-    """The dimension bookkeeping: every count must tie out both ways."""
-    return [
+        # the dimension bookkeeping: every count must tie out both ways
         Check("ledger.135", "1.5", "135",
               lambda: 16 + comb(16, 2) - 1),
         Check("ledger.2160", "1.5", "2160",
@@ -270,46 +219,24 @@ def _ledger_defs() -> list[Check]:
     ]
 
 
-def build_registry() -> dict[str, list[Check]]:
-    """All checks, grouped by module, in fixed registration order."""
-    return {
-        "code": _code_checks(),
-        "lattice": _lattice_checks(),
-        "quad": _quad_checks(),
-        "srg": _srg_checks(),
-        "orders": _orders_checks(),
-        "rep": _rep_checks(),
-        "series": _series_checks(),
-        "ledger": _ledger_defs(),
-    }
-
-
-def make_report(results: list[CheckResult]) -> dict:
+def make_report(rows: list[dict]) -> dict:
     return {
         "version": REPORT_VERSION,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "checks": [r.as_dict() for r in results],
-        "pass": all(r.passed for r in results),
+        "checks": rows,
+        "pass": all(r["pass"] for r in rows),
     }
 
 
 def run_all(skip_slow: bool = True) -> dict:
-    """Execute the whole registry and return the report dict.
+    """Execute every check and return the report dict.
 
     skip_slow omits the two slow tree searches (BW32 out to norm 4, bw1
     out to norm 8) with every check that reads them, and the two cheap
     checks kept slow so that the fast sweep stays at 52.
     """
-    registry = build_registry()
-    results = []
-    for module, checks in registry.items():
-        if not checks:
-            raise RuntimeError(f"module {module!r} registered zero checks")
-        for check in checks:
-            if skip_slow and check.slow:
-                continue
-            results.append(run_check(check))
-    return make_report(results)
+    return make_report([run_check(c) for c in checks()
+                        if not (skip_slow and c.slow)])
 
 
 def render_text(report: dict) -> str:
