@@ -6,9 +6,9 @@ thunk that recomputes the actual value from scratch.  checks() lists
 them in one fixed order, and an id's first dotted part names its
 module.  run_all turns each into one report row, which passes exactly
 when its actual value equals the expected one, and assembles one
-JSON-serializable report.  The slow flag holds back two tree searches, BW32 out to norm 4
-and bw1 out to norm 8, and every check that reads them;
-srg.h5-perp (about 10 ms) and lattice.bw32-norm4-generates (about 1 ms)
+JSON-serializable report.  The slow flag holds back two tree searches,
+BW32 out to norm 4 and bw1 out to norm 8, and every check that reads
+them; srg.h5-perp (about 10 ms) and lattice.bw32-norm4-generates (about 1 ms)
 are slow only so that the fast sweep stays at 52 checks.
 
 Every lattice fact that needs vectors comes from one single-threaded
