@@ -96,6 +96,19 @@ def test_t1_series_400_is_pinned():
         "84d7fdc4d584d6160ece65ac164695375d74eafd5788db315a5032b0459d852a"
 
 
+@pytest.mark.parametrize("name, offset, digest", [
+    ("j_series", -3,
+     "af3b831cb759048979582b5aa902d7ba81e70b6c34ce7aa005540fd73aec2a5a"),
+    ("cube_root_j", -1,
+     "56790871d722d4aac0cb9cade668904aecbaf81b7daf3e7dff8cfaec49fef762"),
+])
+def test_series_400_is_pinned(name, offset, digest):
+    s = getattr(qser, name)(400)
+    assert s.offset_thirds == offset
+    text = ",".join(map(str, s.coeffs)).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
 def test_t1_divided_by_cube_root_recovers_j_shift():
     n = 10
     t1 = qser.t1_series(n)
