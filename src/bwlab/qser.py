@@ -4,9 +4,13 @@ A QSeries holds integer coefficients for exponents offset/3, offset/3+1,
 offset/3+2, ... — the only fractional exponents needed are thirds, so
 the offset is an integer count of thirds and successive terms step by a
 full power of q.  All arithmetic is exact; truncation lengths shrink to
-whatever both operands support.  Every integer power, negative and zero
+whatever both operands support.  A product is one big-integer
+multiplication by Kronecker substitution: each series is packed into
+one integer, a coefficient to a fixed-width slot, and the product's
+slots are its coefficients.  Every integer power, negative and zero
 included, comes from one recurrence, J. C. P. Miller's formula for the
-powers of a power series (Knuth, TAOCP Vol. 2, 4.7).
+powers of a power series (Knuth, TAOCP Vol. 2, 4.7); the dense cubes
+E4^3 and root^3 are products instead.
 """
 
 from __future__ import annotations
@@ -47,13 +51,30 @@ class QSeries:
         return [(self.exponent(i), c) for i, c in enumerate(self.coeffs)]
 
     def mul(self, other: "QSeries") -> "QSeries":
+        """self * other by Kronecker substitution: one big-integer product.
+
+        Each series is packed into one integer, coefficient i at bit w*i,
+        with w a multiple of 8 and at least bits(max|a|) + bits(max|b|) +
+        bits(n) + 1, so every coefficient of the product lies strictly
+        between -2^(w-1) and 2^(w-1).  The low n slots of the product,
+        read from the bottom, are those coefficients: a slot that, with
+        the carry from below, reaches 2^(w-1) holds a negative coefficient
+        that borrowed 2^w from the slot above.
+        """
         n = min(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: n - i]):
-                out[i + j] += a * b
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        width = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                 + n.bit_length() + 8) // 8  # w / 8, rounded up
+        x = _pack(a, width)
+        prod = x * x if other is self else x * _pack(b, width)
+        bits = 8 * width
+        raw = (prod & ((1 << bits * n) - 1)).to_bytes(width * n, "little")
+        half, full = 1 << (bits - 1), 1 << bits
+        out, carry = [], 0
+        for i in range(0, width * n, width):
+            c = int.from_bytes(raw[i:i + width], "little") + carry
+            carry = c >= half
+            out.append(c - full if carry else c)
         return QSeries(self.offset_thirds + other.offset_thirds, tuple(out))
 
     def add_scalar(self, c: int) -> "QSeries":
@@ -90,6 +111,13 @@ class QSeries:
         return QSeries(e * self.offset_thirds, tuple(g))
 
 
+def _pack(coeffs, width: int) -> int:
+    """sum c_i 2^(8 width i), as the positive part minus the negative part."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 def euler_product(n: int, exponent: int = 1) -> QSeries:
     """prod_{k>=1} (1 - q^k)^exponent, n exact terms from q^0.
 
@@ -122,7 +150,8 @@ def eisenstein4(n: int) -> QSeries:
 
 def j_series(n: int) -> QSeries:
     """j = E4^3 q^-1 prod (1 - q^k)^-24, n exact terms from q^{-1}."""
-    return QSeries(-3, eisenstein4(n).power(3).mul(euler_product(n, -24)).coeffs)
+    e4 = eisenstein4(n)
+    return QSeries(-3, e4.mul(e4).mul(e4).mul(euler_product(n, -24)).coeffs)
 
 
 def _certified_root_and_j(n: int) -> tuple[QSeries, QSeries]:
@@ -130,7 +159,7 @@ def _certified_root_and_j(n: int) -> tuple[QSeries, QSeries]:
     if n < 3:
         raise ValueError("need at least three terms")
     root = QSeries(-1, eisenstein4(n).mul(euler_product(n, -8)).coeffs)
-    cube = root.power(3)
+    cube = root.mul(root).mul(root)
     jj = j_series(n)
     if cube.offset_thirds != jj.offset_thirds or cube.coeffs != jj.coeffs[:len(cube.coeffs)]:
         raise RuntimeError("cube of the computed root disagrees with j")

@@ -2,7 +2,8 @@
 
 Everything here recomputes values by a different method than the
 package: vector counts by exhaustive box enumeration bounded through an
-eigenvalue estimate, series roots by Newton iteration over rationals,
+eigenvalue estimate, series products by the schoolbook double loop,
+series roots by Newton iteration over rationals,
 group closures by products of dense matrices, transported quadratic
 forms by the matrix product T^T U T, glued lattices through an
 orthogonal direct sum, common-neighbour counts by one dense float
@@ -155,6 +156,18 @@ def euler_product_by_factors(n: int, exponent: int = 1) -> qser.QSeries:
 def delta(n: int) -> qser.QSeries:
     """The weight-12 cusp form q prod (1 - q^k)^24, n exact terms from q^1."""
     return qser.QSeries(3, euler_product_by_factors(n, 24).coeffs)
+
+
+def series_mul_dense(a: qser.QSeries, b: qser.QSeries) -> qser.QSeries:
+    """a * b to the shorter truncation, by the schoolbook double loop."""
+    n = min(len(a.coeffs), len(b.coeffs))
+    out = [0] * n
+    for i, x in enumerate(a.coeffs[:n]):
+        if x == 0:
+            continue
+        for j, y in enumerate(b.coeffs[: n - i]):
+            out[i + j] += x * y
+    return qser.QSeries(a.offset_thirds + b.offset_thirds, tuple(out))
 
 
 def poly_mul(a, b, n):

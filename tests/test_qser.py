@@ -79,6 +79,18 @@ def test_cube_root_certification_catches_corruption(monkeypatch):
         qser.cube_root_j(6)
 
 
+def test_cube_root_certification_checks_the_top_coefficient(monkeypatch):
+    good = qser.j_series
+    for delta in (1, -1):
+        def tainted(n):
+            j = good(n)
+            return QSeries(j.offset_thirds, j.coeffs[:-1] + (j.coeffs[-1] + delta,))
+
+        monkeypatch.setattr(qser, "j_series", tainted)
+        with pytest.raises(RuntimeError):
+            qser.cube_root_j(400)
+
+
 def test_t1_series_values():
     t1 = qser.t1_series(8)
     assert t1.offset_thirds == -4
@@ -132,6 +144,36 @@ def test_mul_add_and_scalars():
         QSeries(-3, (1,)).add_scalar(1)  # q^0 above it
     with pytest.raises(ValueError):
         QSeries(1, (1, 2)).add_scalar(1)  # q^0 not on the lattice of thirds
+
+
+def _edge_coefficient(rng):
+    """0, or +-2^k, +-(2^k - 1) or a random k-bit value, k up to 2000 and
+    often next to a multiple of 8, where a packed slot ends."""
+    k = rng.choice([rng.randrange(2001),
+                    8 * rng.randrange(1, 250) + rng.choice((-1, 0, 1))])
+    c = rng.choice([0, 1 << k, (1 << k) - 1, rng.getrandbits(k)])
+    return rng.choice((1, -1)) * c
+
+
+def _edge_series(rng):
+    n = rng.choice([1, 1, 2, 3, rng.randrange(1, 30)])
+    shape = rng.randrange(4)
+    if shape == 0:  # all zero
+        coeffs = (0,) * n
+    elif shape == 1:  # one extreme value throughout: slot sums at their widest
+        coeffs = (_edge_coefficient(rng),) * n
+    else:
+        coeffs = tuple(_edge_coefficient(rng) if rng.random() < 0.7 else 0
+                       for _ in range(n))
+    return QSeries(rng.randrange(-9, 10), coeffs)
+
+
+def test_mul_matches_the_dense_product():
+    rng = random.Random(25)
+    for _ in range(3000):
+        a, b = _edge_series(rng), _edge_series(rng)
+        assert a.mul(b) == _oracles.series_mul_dense(a, b)
+        assert a.mul(a) == _oracles.series_mul_dense(a, a)
 
 
 def test_inverse_needs_unit_leading_coefficient():
