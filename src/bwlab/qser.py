@@ -5,12 +5,10 @@ offset/3+2, ... — the only fractional exponents needed are thirds, so
 the offset is an integer count of thirds and successive terms step by a
 full power of q.  All arithmetic is exact; truncation lengths shrink to
 whatever both operands support.  A product is one big-integer
-multiplication by Kronecker substitution: each series is packed into
-one integer, a coefficient to a fixed-width slot, and the product's
-slots are its coefficients.  Every integer power, negative and zero
+multiplication (Kronecker substitution), and the dense cubes E4^3 and
+root^3 are products.  Every other integer power, negative and zero
 included, comes from one recurrence, J. C. P. Miller's formula for the
-powers of a power series (Knuth, TAOCP Vol. 2, 4.7); the dense cubes
-E4^3 and root^3 are products instead.
+powers of a power series (Knuth, TAOCP Vol. 2, 4.7).
 """
 
 from __future__ import annotations

@@ -79,16 +79,17 @@ def test_cube_root_certification_catches_corruption(monkeypatch):
         qser.cube_root_j(6)
 
 
-def test_cube_root_certification_checks_the_top_coefficient(monkeypatch):
+@pytest.mark.parametrize("delta", [1, -1])
+def test_cube_root_certification_checks_the_top_coefficient(monkeypatch, delta):
     good = qser.j_series
-    for delta in (1, -1):
-        def tainted(n):
-            j = good(n)
-            return QSeries(j.offset_thirds, j.coeffs[:-1] + (j.coeffs[-1] + delta,))
 
-        monkeypatch.setattr(qser, "j_series", tainted)
-        with pytest.raises(RuntimeError):
-            qser.cube_root_j(400)
+    def tainted(n):
+        j = good(n)
+        return QSeries(j.offset_thirds, j.coeffs[:-1] + (j.coeffs[-1] + delta,))
+
+    monkeypatch.setattr(qser, "j_series", tainted)
+    with pytest.raises(RuntimeError):
+        qser.cube_root_j(400)
 
 
 def test_t1_series_values():
