@@ -111,14 +111,14 @@ def similarity_invariants(a: ScaledBasis, b: ScaledBasis, scale,
     scale = Fraction(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
+    norms = [Fraction(n) for n in norms]
+    if any(n <= 0 for n in norms):
+        raise ValueError("norms must be positive")
     ga, gb = exlat.gram(exlat.hnf_basis(a)), exlat.gram(exlat.hnf_basis(b))
     if exlat.determinant(ga) != scale ** len(gb) * exlat.determinant(gb):
         return False
     if not (exlat.is_even(ga) and exlat.is_even(gb)):
         return False
-    norms = [Fraction(n) for n in norms]
-    if any(n <= 0 for n in norms):
-        raise ValueError("norms must be positive")
     top = max(norms, default=0)
     sa, sb = exlat.shell_counts(a, scale * top), exlat.shell_counts(b, top)
     return all(sa.get(scale * n, 0) == sb.get(n, 0) for n in norms)

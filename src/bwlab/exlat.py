@@ -391,28 +391,27 @@ def _expand_stage(L: np.ndarray, i: int, C, PN, free: bool, r2: float):
     return t, idx, newC, newPN
 
 
-def _search(b: ScaledBasis, T: int, keep: bool = False):
+def _search(b: ScaledBasis, T: int):
     """Depth-first over the pruned tree out to the integer radius T.
 
-    Returns the histogram {t: count} of every exact integer norm
-    0 < t <= T (norms |x . mat|^2 in lll_reduce(b)'s integer frame) and,
-    when keep is set, a list of arrays of den-scaled frame coordinates
-    holding one row of norm exactly T from each pair {v, -v}, in no
-    particular order.  The float radius is T + ENUM_MARGIN, so a vector
-    of norm t <= T passes every pruning test with at least the slack of
-    a norm-T vector; each leaf's norm is then confirmed in int64.  The
-    root is free (the leading nonzero coordinate is positive), so each
-    leaf stands for the pair {v, -v}.  A stack entry is one stage: the
-    count i of free coordinates, one (t, idx) pair per set level,
-    coordinates r-1 downwards, idx pointing into the level above, and
-    the centre terms C of its nodes, level-major (the root's are
-    zeros((r, 1))).  Popping a stage with i > 0 expands it once and
+    Yields, per leaf stage, a block (V, S): the den-scaled frame rows V of
+    the vectors of exact integer norm 0 < t <= T (norms |x . mat|^2 in
+    lll_reduce(b)'s integer frame), one from each pair {v, -v}, in no
+    particular order, and their int64 norms S.  The float radius is
+    T + ENUM_MARGIN, so a vector of norm t <= T passes every pruning test
+    with at least the slack of a norm-T vector; each leaf's norm is then
+    confirmed in int64.  The root is free (the leading nonzero coordinate
+    is positive), so each leaf stands for the pair {v, -v}.  A stack entry
+    is one stage: the count i of free coordinates, one (t, idx) pair per
+    set level, coordinates r-1 downwards, idx pointing into the level
+    above, and the centre terms C of its nodes, level-major (the root's
+    are zeros((r, 1))).  Popping a stage with i > 0 expands it once and
     pushes its children in column slices C[:, sl] of _CHUNK nodes that
     share their parents, the all-zero prefix in column 0 of the first;
-    the leaves (i = 0) are pushed as one stage.  So a stage holds at
-    most _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the
-    least Cholesky diagonal entry: traced peaks of about 7 MiB for BW16
-    out to norm 8 and 17 MiB for BW32 out to norm 4.  Popping the leaves
+    the leaves (i = 0) are pushed as one stage.  So a stage holds at most
+    _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the least
+    Cholesky diagonal entry: traced peaks of about 7 MiB for BW16 out to
+    norm 8 and 17 MiB for BW32 out to norm 4.  Popping the leaves
     rebuilds their coordinates X by walking idx upwards, then V = X . mat.
     """
     red = lll_reduce(b)
@@ -424,8 +423,6 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
     r = M.shape[0]
     L = np.linalg.cholesky((M @ M.T).astype(np.float64))
     r2 = float(T) + ENUM_MARGIN
-    hist: dict[int, int] = {}
-    found = []
     stack = [(r, (), np.zeros((r, 1)), np.zeros(1), True)]
     while stack:
         i, levels, C, PN, free = stack.pop()
@@ -447,18 +444,19 @@ def _search(b: ScaledBasis, T: int, keep: bool = False):
             j = idx[j]
         V = X @ M
         S = np.einsum("ij,ij->i", V, V)
-        norms, counts = np.unique(S[(S > 0) & (S <= T)], return_counts=True)
-        for t, c in zip(norms.tolist(), counts.tolist()):
-            hist[t] = hist.get(t, 0) + 2 * c
-        if keep:
-            found.append(V[S == T])
-    return hist, found
+        ok = (S > 0) & (S <= T)
+        yield V[ok], S[ok]
 
 
 @lru_cache(maxsize=64)
 def _shells(b: ScaledBasis, T: int) -> MappingProxyType:
     """Read-only norm histogram of the canonical basis b out to radius T."""
-    return MappingProxyType(_search(b, T)[0])
+    hist: dict[int, int] = {}
+    for _, S in _search(b, T):
+        norms, counts = np.unique(S, return_counts=True)
+        for t, c in zip(norms.tolist(), counts.tolist()):
+            hist[t] = hist.get(t, 0) + 2 * c
+    return MappingProxyType(hist)
 
 
 def enumerate_norm(b: ScaledBasis, n, threads: int | None = None) -> int:
@@ -494,7 +492,8 @@ def generated_by_norm_vectors(b: ScaledBasis, n, threads: int | None = None) -> 
 
     Witness first: norm-n rows of lll_reduce(b) whose HNF is the lattice's
     prove it with no search.  Otherwise an uncached one-thread search
-    collects the norm-n vectors into an HNF; threads is ignored.
+    streams the norm-n vectors, leaf block by leaf block, into an HNF
+    and stops once it is the lattice's; threads is ignored.
     """
     target = hnf_basis(b)
     t = _frame_norm(target, n)
@@ -507,12 +506,12 @@ def generated_by_norm_vectors(b: ScaledBasis, n, threads: int | None = None) -> 
         return True
     if t.denominator != 1:
         return False
-    found = _search(target, int(t), keep=True)[1]
-    rows = [r for W in found for r in W.tolist()]
-    for start in range(0, len(rows), 512):
-        acc = hnf_int_rows(acc + rows[start:start + 512])
-        if acc == want:
-            return True
+    for V, S in _search(target, int(t)):
+        rows = V[S == int(t)].tolist()
+        for start in range(0, len(rows), 512):
+            acc = hnf_int_rows(acc + rows[start:start + 512])
+            if acc == want:
+                return True
     return False
 
 

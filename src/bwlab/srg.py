@@ -79,9 +79,7 @@ def perp_graph(s: f2quad.QuadSpace) -> Graph:
 
 def _eigen_data(v: int, k: int, lam: int, mu: int):
     """(r, s, f, g) if the parameter set is spectrally feasible, else None."""
-    disc = (lam - mu) ** 2 + 4 * (k - mu)
-    if disc <= 0:
-        return None
+    disc = (lam - mu) ** 2 + 4 * (k - mu)  # > 0, as lam < k and mu <= k
     sq = isqrt(disc)
     balance = 2 * k + (v - 1) * (lam - mu)
     if sq * sq == disc:

@@ -55,8 +55,9 @@ def _trace(g: tuple[int, ...]) -> int:
 
 def extraspecial_plus(m: int) -> MatrixGroup:
     """Plus-type extraspecial group of order 2^(1+2m) on dimension 2^m."""
-    if not 1 <= m <= 4:
-        raise ValueError("m must be between 1 and 4 (closure cap)")
+    if m < 1 or 1 << (1 + 2 * m) > CLOSURE_CAP:
+        raise ValueError(f"m must be at least 1 and 2^(1+2m) at most the "
+                         f"closure cap {CLOSURE_CAP}")
     gens = tuple(reduce(_kron, [p if j == i else _I for j in range(m)])
                  for i in range(m) for p in (_X, _Z))
     return MatrixGroup(gens, 1 << m)

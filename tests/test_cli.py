@@ -190,6 +190,12 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert cli.main(["quad", "singular-count", "--space", "x9"]) == 2
     capsys.readouterr()
+    for argv in (["qseries", "t1", "--terms", "0"],
+                 ["qseries", "t1", "--terms", "x"],
+                 ["lattice", "enumerate", "--norm", "abc"],
+                 ["quad", "singular-count", "--space", "h0"]):
+        assert cli.main(argv) == 2
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

@@ -74,6 +74,12 @@ def test_from_rows_rejects_non_integral_input():
     b = ScaledBasis.from_rows([[Fraction(2), 0.0], [np.int64(-3), 1]], 2.0)
     assert b.mat == ((2, 0), (-3, 1)) and b.den == 2
     assert all(type(x) is int for r in b.mat for x in r) and type(b.den) is int
+    # the constructor's own guards
+    one = ((1,),)
+    for mat, den, fs in ((one, 0, 1), ((), 1, 1), (((1, 0), (1,)), 1, 1),
+                         (one, 1, 0), (one, 1, Fraction(-1, 2))):
+        with pytest.raises(ValueError):
+            ScaledBasis(mat, den, fs)
 
 
 def test_hnf_rejects_zero_lattice():
@@ -179,6 +185,8 @@ def test_determinant_matches_float_estimate():
         approx = np.linalg.det(M @ M.T) \
             * float(b.frame_scale) ** len(b.mat) / float(b.den) ** (2 * len(b.mat))
         assert abs(float(exact) - approx) < 1e-6 * max(1.0, abs(approx))
+    with pytest.raises(ValueError, match="square"):
+        exlat.determinant([[1, 2]])
 
 
 def _mul(a, b):
@@ -450,7 +458,7 @@ def _level_counts(monkeypatch, b, n):
 
     monkeypatch.setattr(exlat, "_expand_stage", counted)
     bb = exlat.hnf_basis(b)
-    exlat._search(bb, int(exlat._frame_norm(bb, n)))
+    exlat._shells.__wrapped__(bb, int(exlat._frame_norm(bb, n)))
     return [levels[i] for i in sorted(levels, reverse=True)]
 
 
@@ -539,14 +547,14 @@ def _canonical_den(b):
 
 
 def _kept_rows(b, n):
-    """The keep-mode rows of an uncached search out to norm n: one row of
-    each pair {v, -v}, in units of 1/den of the canonical basis."""
+    """The norm-n rows streamed by an uncached search out to norm n: one
+    row of each pair {v, -v}, in units of 1/den of the canonical basis."""
     bb = exlat.hnf_basis(b)
     t = exlat._frame_norm(bb, n)
     if t.denominator != 1:
         return []
-    return [r for W in exlat._search(bb, int(t), keep=True)[1]
-            for r in W.tolist()]
+    return [r for V, S in exlat._search(bb, int(t))
+            for r in V[S == int(t)].tolist()]
 
 
 def test_collect_mode_rows_match_box_oracle():
@@ -565,10 +573,11 @@ def test_collect_mode_rows_match_box_oracle():
 
 
 def _both_signs(bb, T):
-    """The histogram and the sorted keep-mode rows with their negatives
-    of one uncached search of the canonical basis bb out to radius T."""
-    hist, found = exlat._search(bb, T, keep=True)
-    half = [tuple(r) for W in found for r in W.tolist()]
+    """The uncached histogram and the sorted norm-T rows with their
+    negatives of the search of the canonical basis bb out to radius T."""
+    hist = dict(exlat._shells.__wrapped__(bb, T))
+    half = [tuple(r) for V, S in exlat._search(bb, T)
+            for r in V[S == T].tolist()]
     return hist, sorted(half + [tuple(-x for x in r) for r in half])
 
 
@@ -636,7 +645,7 @@ def test_large_radius_matches_jacobi_four_squares(monkeypatch, chunk):
         for n in sorted({1, 2, 3, top}):
             if n > top:
                 continue
-            hist, _ = exlat._search(bb, k * k * n)
+            hist = dict(exlat._shells.__wrapped__(bb, k * k * n))
             assert hist == {k * k * m: _r4(m) for m in range(1, n + 1)}
             radii.append(k * k * n)
     assert len(radii) == 27 and max(radii) == 1 << 40
@@ -696,7 +705,7 @@ def _search_peak_bytes(b, n):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        exlat._search(bb, T)
+        exlat._shells.__wrapped__(bb, T)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
@@ -714,7 +723,7 @@ def test_bw32_norm4_search_memory():
 
 
 def test_count_collect_and_shell_counts_agree():
-    # counts read the cached histogram; the keep-mode search walks again
+    # counts read the cached histogram; the streamed rows walk again
     for lattice in (_e8(), bw.bw16()):
         norms = (2, 4, 6, 8)
         counts = {Fraction(n): exlat.enumerate_norm(lattice, n) for n in norms}
@@ -731,6 +740,11 @@ def test_enumerate_input_validation():
         exlat.enumerate_norm(_zn(2), 0)
     with pytest.raises(ValueError):
         exlat.enumerate_norm(_zn(2), -2)
+    with pytest.raises(ValueError, match="norm target"):
+        exlat.enumerate_norm(_zn(2), 2 ** 41)
+    assert exlat.shell_counts(_zn(2), Fraction(1, 2)) == {}
+    with pytest.raises(ValueError):
+        exlat.generated_by_norm_vectors(_zn(2), 0)
 
 
 def test_enumerate_rejects_huge_entries():
@@ -751,6 +765,30 @@ def test_generated_by_norm_vectors_falls_back_to_the_search():
     z2 = _zn(2)
     assert all(sum(x * x for x in r) == 1 for r in exlat.lll_reduce(z2).mat)
     assert exlat.generated_by_norm_vectors(z2, 5)
+
+
+def test_generated_by_norm_vectors_stops_the_stream_early(monkeypatch):
+    # E8's LLL rows have norm 2, so no norm-4 witness exists; the search
+    # stops once the streamed norm-4 rows span E8, before its last block
+    e8 = _e8()
+    assert all(sum(x * x for x in r) == 8 for r in exlat.lll_reduce(e8).mat)
+    monkeypatch.setattr(exlat, "_CHUNK", 7)
+    T = int(exlat._frame_norm(e8, 4))
+    blocks = list(exlat._search(e8, T))
+    rows = [r for V, S in blocks for r in V[S == T].tolist()]
+    assert len(rows) == 2160 // 2 and _generates(e8, rows)
+    read = 0
+    search = exlat._search
+
+    def counted(*args):
+        nonlocal read
+        for block in search(*args):
+            read += 1
+            yield block
+
+    monkeypatch.setattr(exlat, "_search", counted)
+    assert exlat.generated_by_norm_vectors(e8, 4)
+    assert 0 < read < len(blocks)
 
 
 def _generates(b, rows) -> bool:

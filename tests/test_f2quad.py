@@ -113,7 +113,21 @@ def test_quadspace_validation():
     with pytest.raises(ValueError):
         fq.QuadSpace(2, lower)
     with pytest.raises(ValueError):
+        fq.QuadSpace(3, fl.F2Matrix(3, 3, (0, 0, 0)))
+    with pytest.raises(ValueError):
         fq.hyperbolic(0)
+    with pytest.raises(ValueError):
+        fq.elliptic(0)
+    s = fq.hyperbolic(1)
+    for x in (-1, 4):
+        with pytest.raises(ValueError):
+            fq.eval_q(s, x)
+        with pytest.raises(ValueError):
+            fq.bilinear_image(s, x)
+        with pytest.raises(ValueError):
+            fq.eval_b(s, 1, x)
+    with pytest.raises(ValueError):
+        fq.totally_singular_subspace(s, -1)
 
 
 def test_totally_singular_subspaces_of_hyperbolic():

@@ -53,6 +53,9 @@ def test_mul_div_pow():
     assert a.mul(b).value == 360 * 14
     assert a.mul(b).div(b).value == 360
     assert a.pow(3).value == 360 ** 3
+    assert a.pow(0).value == 1
+    with pytest.raises(ValueError):
+        a.pow(-1)
     with pytest.raises(ValueError):
         b.div(a)
 
@@ -85,6 +88,8 @@ def test_omega_plus_input_validation():
         gord.omega_plus_order(2, 2)  # needs dimension >= 4
     with pytest.raises(ValueError):
         gord.omega_plus_order(4, 6)  # 6 is not a prime power
+    with pytest.raises(ValueError):
+        gord.e6_order(1)
 
 
 def test_e6_order_at_2():

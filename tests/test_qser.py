@@ -192,6 +192,12 @@ def test_power_and_validation():
     assert QSeries(-1, (2, 1)).power(0) == QSeries(0, (1, 0))
     with pytest.raises(ValueError):
         QSeries(0, ())
+    with pytest.raises(ValueError):
+        qser.euler_product(0)
+    with pytest.raises(ValueError):
+        qser.eisenstein4(0)
+    with pytest.raises(ValueError):
+        qser.cube_root_j(2)
 
 
 def _random_series(rng, lead):

@@ -286,6 +286,15 @@ def test_feasible_pairs_139503_4590():
     assert p.k + p.f * p.r + p.g * p.s == 0
 
 
+def test_feasible_pairs_rejects_each_spectral_failure():
+    # (5, 3, 1, 3): integral eigenvalues 0, -2 but an odd spread (-1)
+    assert srg.feasible_pairs(5, 3) == []
+    # (7, 3, 0, 2) and (7, 3, 1, 1): disc 8, and balance 6 is not 0
+    assert srg.feasible_pairs(7, 3) == []
+    # (7, 4, 1, 4): disc 9, but 3 does not divide balance -10
+    assert srg.feasible_pairs(7, 4) == []
+
+
 def test_feasible_pairs_input_validation():
     with pytest.raises(ValueError):
         srg.feasible_pairs(10, 0)

@@ -109,16 +109,20 @@ def test_block_double_is_reducible():
 
 
 def test_closure_cap(monkeypatch):
+    # built before the patch: the range check reads the cap too
+    g = xrep.extraspecial_plus(3)
     monkeypatch.setattr(xrep, "CLOSURE_CAP", 10)
     with pytest.raises(xrep.ClosureCapError):
-        xrep.closure(xrep.extraspecial_plus(3))
+        xrep.closure(g)
 
 
 def test_extraspecial_range():
     with pytest.raises(ValueError):
         xrep.extraspecial_plus(0)
-    with pytest.raises(ValueError):
-        xrep.extraspecial_plus(5)
+    with pytest.raises(ValueError, match="closure cap 8192"):
+        xrep.extraspecial_plus(7)
+    h = xrep.extraspecial_plus(5)
+    assert len(xrep.closure(h)) == 2048 and xrep.char_norm(h) == 1
 
 
 def test_generators_are_signed_permutations():
