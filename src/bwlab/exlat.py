@@ -445,7 +445,8 @@ def _search(b: ScaledBasis, T: int):
         V = X @ M
         S = np.einsum("ij,ij->i", V, V)
         ok = (S > 0) & (S <= T)
-        yield V[ok], S[ok]
+        # copy only when a leaf fails: the all-zero one or a float-slack one
+        yield (V, S) if ok.all() else (V[ok], S[ok])
 
 
 @lru_cache(maxsize=64)

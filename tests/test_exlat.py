@@ -723,7 +723,8 @@ def test_bw32_norm4_search_memory():
 
 
 def test_count_collect_and_shell_counts_agree():
-    # counts read the cached histogram; the streamed rows walk again
+    # counts read the cached histogram; the streamed rows come from a
+    # second, uncached walk
     for lattice in (_e8(), bw.bw16()):
         norms = (2, 4, 6, 8)
         counts = {Fraction(n): exlat.enumerate_norm(lattice, n) for n in norms}
