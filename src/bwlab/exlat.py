@@ -395,27 +395,25 @@ def _search(b: ScaledBasis, T: int):
     """Depth-first over the pruned tree out to the integer radius T.
 
     Yields, per leaf stage, a block (V, S): the den-scaled frame rows V of
-    the vectors of exact integer norm 0 < t <= T (norms |x . mat|^2 in
-    lll_reduce(b)'s integer frame), one from each pair {v, -v}, in no
-    particular order, and their int64 norms S.  The float radius is
-    T + ENUM_MARGIN, so a vector of norm t <= T passes every pruning test
-    with at least the slack of a norm-T vector; each leaf's norm is then
-    confirmed in int64.  The root is free (the leading nonzero coordinate
-    is positive), so each leaf stands for the pair {v, -v}.  A stack entry
-    is one stage: the count i of free coordinates, one (t, idx) pair per
-    set level, coordinates r-1 downwards, idx pointing into the level
-    above, and the centre terms C of its nodes, level-major (the root's
-    are zeros((r, 1))).  Popping a stage with i > 0 expands it once and
-    pushes its children in column slices C[:, sl] of _CHUNK nodes that
-    share their parents, the all-zero prefix in column 0 of the first;
-    the leaves (i = 0) are pushed as one stage.  So a stage holds at most
-    _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the least
-    Cholesky diagonal entry: traced peaks of about 7 MiB for BW16 out to
-    norm 8 and 17 MiB for BW32 out to norm 4.  Popping the leaves
-    rebuilds their coordinates X by walking idx upwards, then V = X . mat.
+    the leaves of exact integer norm 0 < t <= T (norms |x . mat|^2 in
+    lll_reduce(b)'s integer frame), in no particular order, and their
+    int64 norms S.  The float radius is T + ENUM_MARGIN, so a vector of
+    norm t <= T passes every pruning test with at least the slack of a
+    norm-T vector; each leaf's norm is then confirmed in int64.  The root
+    is free (the leading nonzero coordinate is positive), so each leaf
+    stands for the pair {v, -v}.  A stack entry is one stage: the count i
+    of free coordinates, one (t, idx) pair per set level, coordinates r-1
+    downwards, idx pointing into the level above, and the centre terms C
+    of its nodes, level-major (the root's are zeros((r, 1))).  Popping a
+    stage with i > 0 expands it once and pushes its children in column
+    slices C[:, sl] of _CHUNK nodes that share their parents, the all-zero
+    prefix in column 0 of the first; the leaves (i = 0) are pushed as one
+    stage, so a stage holds at most _CHUNK * (2 floor(sqrt(T) / l_min) + 1)
+    children, l_min the least Cholesky diagonal entry (traced peaks: about
+    7 MiB for BW16 out to norm 8, 17 MiB for BW32 out to norm 4).  Popping
+    the leaves rebuilds their X by walking idx upwards, then V = X . mat.
     """
-    red = lll_reduce(b)
-    M = np.array(red.mat, dtype=np.int64)
+    M = np.array(lll_reduce(b).mat, dtype=np.int64)
     if np.abs(M).max(initial=0) > 1 << 20:
         raise ValueError("basis entries too large for the int64 kernel")
     if T > 1 << 40:
@@ -443,10 +441,12 @@ def _search(b: ScaledBasis, T: int):
             X[:, col] = t[j]
             j = idx[j]
         V = X @ M
+        del X  # not held across the yield
         S = np.einsum("ij,ij->i", V, V)
         ok = (S > 0) & (S <= T)
-        # copy only when a leaf fails: the all-zero one or a float-slack one
-        yield (V, S) if ok.all() else (V[ok], S[ok])
+        if not ok.all():  # the all-zero leaf, or one past T by float slack
+            V, S = V[ok], S[ok]
+        yield V, S
 
 
 @lru_cache(maxsize=64)
