@@ -399,7 +399,7 @@ def _search(b: ScaledBasis, T: int):
     lll_reduce(b)'s integer frame), in no particular order, and their
     int64 norms S.  The float radius is T + ENUM_MARGIN, so a vector of
     norm t <= T passes every pruning test with at least the slack of a
-    norm-T vector; each leaf's norm is then confirmed in int64.  The root
+    norm-T vector; each leaf's norm is then confirmed exactly.  The root
     is free (the leading nonzero coordinate is positive), so each leaf
     stands for the pair {v, -v}.  A stack entry is one stage: the count i
     of free coordinates, one (t, idx) pair per set level, coordinates r-1
@@ -411,10 +411,19 @@ def _search(b: ScaledBasis, T: int):
     stage, so a stage holds at most _CHUNK * (2 floor(sqrt(T) / l_min) + 1)
     children, l_min the least Cholesky diagonal entry (traced peaks: about
     7 MiB for BW16 out to norm 8, 17 MiB for BW32 out to norm 4).  Popping
-    the leaves rebuilds their X by walking idx upwards, then V = X . mat.
+    the leaves rebuilds their coordinates X, level-major, by walking idx
+    upwards, then V = X^T . mat and S = |V|^2 in int64.
+
+    X, mat and V are int32 when r * max|t| * max|mat| < 2^31, max|t| over
+    the stage's levels, and int64 otherwise.  A leaf's true entries would
+    fit in int32 far more often, but the float pruning only estimates
+    which leaves are short; the bound holds for every partial sum of the
+    product whatever the leaves are, so no sum wraps and S is each leaf's
+    exact norm, as the test 0 < S <= T needs.
     """
     M = np.array(lll_reduce(b).mat, dtype=np.int64)
-    if np.abs(M).max(initial=0) > 1 << 20:
+    mmax = int(np.abs(M).max(initial=0))
+    if mmax > 1 << 20:
         raise ValueError("basis entries too large for the int64 kernel")
     if T > 1 << 40:
         raise ValueError("norm target too large for the int64 kernel")
@@ -434,15 +443,18 @@ def _search(b: ScaledBasis, T: int):
                     stack.append((i - 1, levels + ((t[sl], idx[sl]),),
                                   C[:, sl], PN[sl], free and k == 0))
             continue
-        # rebuild X from the parent chains; confirm every candidate in int64
-        X = np.empty((len(PN), r), dtype=np.int64)
+        # rebuild X level-major from the parent chains, row j coordinate j;
+        # int32 where the bound above keeps every partial sum of X^T . M
+        tmax = max(max(-int(t.min()), int(t.max())) for t, _ in levels)
+        dt = np.int32 if r * tmax * mmax < 1 << 31 else np.int64
+        X = np.empty((r, len(PN)), dtype=dt)
         j = np.arange(len(PN))
-        for col, (t, idx) in enumerate(reversed(levels)):
-            X[:, col] = t[j]
+        for row, (t, idx) in enumerate(reversed(levels)):
+            X[row] = t[j]
             j = idx[j]
-        V = X @ M
+        V = np.einsum("ji,jk->ik", X, M.astype(dt, copy=False))
         del X  # not held across the yield
-        S = np.einsum("ij,ij->i", V, V)
+        S = np.einsum("ij,ij->i", V, V, dtype=np.int64)
         ok = (S > 0) & (S <= T)
         if not ok.all():  # the all-zero leaf, or one past T by float slack
             V, S = V[ok], S[ok]

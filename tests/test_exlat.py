@@ -557,7 +557,7 @@ def _kept_rows(b, n):
             for r in V[S == int(t)].tolist()]
 
 
-def test_collect_mode_rows_match_box_oracle():
+def test_streamed_rows_match_box_oracle():
     # the vectors themselves, not only their number
     rng = random.Random(27)
     for _ in range(25):
@@ -694,6 +694,34 @@ def test_skewed_bases_at_attained_radii_match_box_oracle(monkeypatch, chunk):
     assert max(radii) > 1 << 38
 
 
+def _block_dtypes(bb, T):
+    """The histogram of an uncached search of the canonical basis bb out
+    to radius T, and the dtypes of its leaf blocks' rows."""
+    hist, dtypes = {}, set()
+    for V, S in exlat._search(bb, T):
+        dtypes.add(V.dtype)
+        for t in S.tolist():
+            hist[t] = hist.get(t, 0) + 2
+    return hist, dtypes
+
+
+def test_bw16_leaves_are_confirmed_in_int32():
+    bb = exlat.hnf_basis(bw.bw16())
+    hist, dtypes = _block_dtypes(bb, int(exlat._frame_norm(bb, 6)))
+    assert dtypes == {np.dtype(np.int32)}
+    assert hist == {8: 4320, 12: 61440}
+
+
+@pytest.mark.parametrize("c, dtype", [(1023, np.int32), (1024, np.int64)])
+def test_leaf_dtype_switches_at_the_overflow_bound(c, dtype):
+    # r * max|t| * max|M| is 2 * 1023 * 2^20 < 2^31 out to 1023^2, and
+    # reaches 2^31 out to 1024^2, where the leaves are confirmed in int64
+    bb = exlat.hnf_basis(ScaledBasis.from_rows([[1 << 20, 0], [0, 1]]))
+    hist, dtypes = _block_dtypes(bb, c * c)
+    assert dtypes == {np.dtype(dtype)}
+    assert hist == {k * k: 2 for k in range(1, c + 1)}
+
+
 def _search_peak_bytes(b, n):
     """tracemalloc peak of one uncached search of b out to norm n."""
     bb = exlat.hnf_basis(b)
@@ -722,7 +750,7 @@ def test_bw32_norm4_search_memory():
     assert _search_peak_bytes(bw.bw32(), 4) <= 32 << 20
 
 
-def test_count_collect_and_shell_counts_agree():
+def test_streamed_rows_and_shell_counts_agree():
     # counts read the cached histogram; the streamed rows come from a
     # second, uncached walk
     for lattice in (_e8(), bw.bw16()):
