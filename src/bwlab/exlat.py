@@ -403,8 +403,9 @@ def _search(b: ScaledBasis, T: int):
     is free (the leading nonzero coordinate is positive), so each leaf
     stands for the pair {v, -v}.  A stack entry is one stage: the count i
     of free coordinates, one (t, idx) pair per set level, coordinates r-1
-    downwards, idx pointing into the level above, and the centre terms C
-    of its nodes, level-major (the root's are zeros((r, 1))).  Popping a
+    downwards, idx pointing into the level above, the centre terms C of
+    its nodes, level-major (the root's are zeros((r, 1))), and tmax, the
+    largest |t| of the expansions its levels were sliced from.  Popping a
     stage with i > 0 expands it once and pushes its children in column
     slices C[:, sl] of _CHUNK nodes that share their parents, the all-zero
     prefix in column 0 of the first; the leaves (i = 0) are pushed as one
@@ -414,12 +415,12 @@ def _search(b: ScaledBasis, T: int):
     the leaves rebuilds their coordinates X, level-major, by walking idx
     upwards, then V = X^T . mat and S = |V|^2 in int64.
 
-    X, mat and V are int32 when r * max|t| * max|mat| < 2^31, max|t| over
-    the stage's levels, and int64 otherwise.  A leaf's true entries would
-    fit in int32 far more often, but the float pruning only estimates
-    which leaves are short; the bound holds for every partial sum of the
-    product whatever the leaves are, so no sum wraps and S is each leaf's
-    exact norm, as the test 0 < S <= T needs.
+    X, mat and V are int32 when r * tmax * max|mat| < 2^31, and int64
+    otherwise.  A leaf's true entries would fit in int32 far more often,
+    but the float pruning only estimates which leaves are short; the bound
+    holds for every partial sum of the product whatever the leaves are,
+    so no sum wraps and S is each leaf's exact norm, as the test
+    0 < S <= T needs.
     """
     M = np.array(lll_reduce(b).mat, dtype=np.int64)
     mmax = int(np.abs(M).max(initial=0))
@@ -430,22 +431,22 @@ def _search(b: ScaledBasis, T: int):
     r = M.shape[0]
     L = np.linalg.cholesky((M @ M.T).astype(np.float64))
     r2 = float(T) + ENUM_MARGIN
-    stack = [(r, (), np.zeros((r, 1)), np.zeros(1), True)]
+    stack = [(r, (), np.zeros((r, 1)), np.zeros(1), True, 0)]
     while stack:
-        i, levels, C, PN, free = stack.pop()
+        i, levels, C, PN, free, tmax = stack.pop()
         if i > 0:
             out = _expand_stage(L, i - 1, C, PN, free, r2)
             if out is not None:
                 t, idx, C, PN = out
+                tmax = max(tmax, -int(t.min()), int(t.max()))
                 step = _CHUNK if i > 1 else len(t)
                 for k in range(0, len(t), step):
                     sl = slice(k, k + step)
                     stack.append((i - 1, levels + ((t[sl], idx[sl]),),
-                                  C[:, sl], PN[sl], free and k == 0))
+                                  C[:, sl], PN[sl], free and k == 0, tmax))
             continue
         # rebuild X level-major from the parent chains, row j coordinate j;
         # int32 where the bound above keeps every partial sum of X^T . M
-        tmax = max(max(-int(t.min()), int(t.max())) for t, _ in levels)
         dt = np.int32 if r * tmax * mmax < 1 << 31 else np.int64
         X = np.empty((r, len(PN)), dtype=dt)
         j = np.arange(len(PN))

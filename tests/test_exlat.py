@@ -694,32 +694,56 @@ def test_skewed_bases_at_attained_radii_match_box_oracle(monkeypatch, chunk):
     assert max(radii) > 1 << 38
 
 
-def _block_dtypes(bb, T):
-    """The histogram of an uncached search of the canonical basis bb out
-    to radius T, and the dtypes of its leaf blocks' rows."""
-    hist, dtypes = {}, set()
-    for V, S in exlat._search(bb, T):
+def _wide():
+    return ScaledBasis.from_rows([[1 << 20, 0], [0, 1]])
+
+
+def _sheared():
+    """The vectors (2a + b, 40b, 0) under norm 2^40; the LLL basis
+    (-2, 0, 0), (-1, 40, 0), (1, 0, 2^20) has mu = +1/2."""
+    return ScaledBasis.from_rows([[2, 0, 0], [1, 40, 0], [1, 0, 1 << 20]])
+
+
+def _stacked():
+    """The vectors (20a, 19b, 0, ...) under norm 2^40; LLL keeps the rows
+    in order, so b is set one level above the leaves."""
+    return ScaledBasis.from_rows(
+        [[20] + [0] * 7, [0, 19] + [0] * 6]
+        + [[0] * k + [1 << 20] + [0] * (7 - k) for k in range(2, 8)])
+
+
+def _plane_hist(T, u, v, ka, kb):
+    """Norm histogram, 0 < n <= T, of the a u + b v with |a| <= ka and
+    |b| <= kb."""
+    a, b = np.meshgrid(np.arange(-ka, ka + 1), np.arange(-kb, kb + 1))
+    n = (a * u[0] + b * v[0]) ** 2 + (a * u[1] + b * v[1]) ** 2
+    norms, counts = np.unique(n[(n > 0) & (n <= T)], return_counts=True)
+    return dict(zip(norms.tolist(), counts.tolist()))
+
+
+@pytest.mark.parametrize("lattice, T, dtype, hist", [
+    (bw.bw16, 12, np.int32, {8: 4320, 12: 61440}),  # out to norm 6
+    # r * max|t| * max|M| is 2 * 1023 * 2^20 < 2^31 out to 1023^2 and
+    # reaches 2^31 out to 1024^2, where the leaves are confirmed in int64
+    (_wide, 1023 ** 2, np.int32, {k * k: 2 for k in range(1, 1024)}),
+    (_wide, 1024 ** 2, np.int64, {k * k: 2 for k in range(1, 1025)}),
+    # 3 * 683 * 2^20 >= 2^31: the leaf -683 b0 + b1 has norm
+    # 1365^2 + 40^2 <= T, while the free branch stops at 682 b0 (norm
+    # 1364^2), so only the negative side of the levels shows max|t| = 683
+    (_sheared, 1865000, np.int64,
+     _plane_hist(1865000, (2, 0), (1, 40), 700, 35)),
+    # 8 * 256 * 2^20 = 2^31: b reaches 256 one level above the leaves,
+    # whose own coordinates stop at a = 243
+    (_stacked, 4864 ** 2, np.int64,
+     _plane_hist(4864 ** 2, (20, 0), (0, 19), 250, 260)),
+])
+def test_leaf_dtype_follows_the_overflow_bound(lattice, T, dtype, hist):
+    got, dtypes = {}, set()
+    for V, S in exlat._search(exlat.hnf_basis(lattice()), T):
         dtypes.add(V.dtype)
         for t in S.tolist():
-            hist[t] = hist.get(t, 0) + 2
-    return hist, dtypes
-
-
-def test_bw16_leaves_are_confirmed_in_int32():
-    bb = exlat.hnf_basis(bw.bw16())
-    hist, dtypes = _block_dtypes(bb, int(exlat._frame_norm(bb, 6)))
-    assert dtypes == {np.dtype(np.int32)}
-    assert hist == {8: 4320, 12: 61440}
-
-
-@pytest.mark.parametrize("c, dtype", [(1023, np.int32), (1024, np.int64)])
-def test_leaf_dtype_switches_at_the_overflow_bound(c, dtype):
-    # r * max|t| * max|M| is 2 * 1023 * 2^20 < 2^31 out to 1023^2, and
-    # reaches 2^31 out to 1024^2, where the leaves are confirmed in int64
-    bb = exlat.hnf_basis(ScaledBasis.from_rows([[1 << 20, 0], [0, 1]]))
-    hist, dtypes = _block_dtypes(bb, c * c)
-    assert dtypes == {np.dtype(dtype)}
-    assert hist == {k * k: 2 for k in range(1, c + 1)}
+            got[t] = got.get(t, 0) + 2
+    assert dtypes == {np.dtype(dtype)} and got == hist
 
 
 def _search_peak_bytes(b, n):
