@@ -411,7 +411,7 @@ def _search(b: ScaledBasis, T: int):
     prefix in column 0 of the first; the leaves (i = 0) are pushed as one
     stage, so a stage holds at most _CHUNK * (2 floor(sqrt(T) / l_min) + 1)
     children, l_min the least Cholesky diagonal entry (traced peaks: about
-    7 MiB for BW16 out to norm 8, 17 MiB for BW32 out to norm 4).  Popping
+    5.5 MiB for BW16 out to norm 8, 16 MiB for BW32 out to norm 4).  Popping
     the leaves rebuilds their coordinates X, level-major, by walking idx
     upwards, then V = X^T . mat and S = |V|^2 in int64.
 
