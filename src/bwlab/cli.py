@@ -176,8 +176,7 @@ def _cmd_srg_perp(args) -> int:
 
 
 def _cmd_srg_feasible(args) -> int:
-    rows = [(p.lam, p.mu, p.r, p.s, p.f, p.g)
-            for p in srg.feasible_pairs(args.v, args.k)]
+    rows = [astuple(p)[2:] for p in srg.feasible_pairs(args.v, args.k)]
     lines = [f"(lam, mu, r, s, f, g) candidates for "
              f"v={args.v}, k={args.k}: {len(rows)}"]
     return _facts(args, "srg.feasible",

@@ -34,8 +34,6 @@ import numpy as np
 ENUM_MARGIN = 1e-6
 # nodes per search stage: 2^17 peaked at 127 MiB for BW32 at norm 4
 _CHUNK = 1 << 13
-# minimum_norm searches no further than this norm
-SEARCH_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -532,16 +530,15 @@ def generated_by_norm_vectors(b: ScaledBasis, n, threads: int | None = None) -> 
 def minimum_norm(b: ScaledBasis) -> Fraction:
     """Smallest positive vector norm, from one search.
 
-    The shortest row of lll_reduce(b) is a lattice vector, so its norm
-    bounds the minimum from above; the search runs out to that bound,
-    capped at SEARCH_LIMIT.
+    The shortest row of lll_reduce(b) is a lattice vector, so its integer
+    frame norm bounds the minimum from above; the search runs out to it.
     """
     bb = hnf_basis(b)
     bound = min(sum(x * x for x in row) for row in lll_reduce(bb).mat)
-    shells = shell_counts(bb, min(bound / _frame_norm(bb, 1), SEARCH_LIMIT))
+    shells = _shells(bb, bound)
     if not shells:
-        raise RuntimeError(f"no vector of norm <= {SEARCH_LIMIT} found")
-    return min(shells)
+        raise RuntimeError("internal bug: the search missed the LLL row")
+    return min(shells) / _frame_norm(bb, 1)
 
 
 # --------------------------------------------------------------------------

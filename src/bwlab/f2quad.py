@@ -20,8 +20,8 @@ the ones stored in U (Taylor, The Geometry of the Classical Groups, 1992).
 Type classification is decided by exhaustively counting singular
 vectors, never by formula; the counts are the ground truth downstream
 modules consume.  The sweep tabulates q bitsliced, 64 vectors to a
-word, in one doubling loop from coordinate 0: q(x + e_j) = q(x) +
-B(x, e_j) + U_jj.
+word: eval_q fills the first word, then one doubling loop from
+coordinate 6 applies q(x + e_j) = q(x) + B(x, e_j) + U_jj.
 """
 
 from __future__ import annotations
@@ -110,35 +110,30 @@ def is_nondegenerate(s: QuadSpace) -> bool:
 def _q_words(s: QuadSpace) -> np.ndarray:
     """Bitsliced q: bit l of word h is q(64 h + l); lanes past 2^dim are 0.
 
-    From q(0) = 0 the table doubles once per coordinate j, taking each
-    x = 64 h + l < 2^j to x + e_j by
+    Word 0 holds q of the first 2^min(dim, 6) vectors, by eval_q.  From
+    there the table doubles once per coordinate j >= 6: the words of the
+    prefixes h < 2^(j-6) go to those of h + 2^(j-6) by
 
         q(x + e_j) = q(x) + B(l, e_j) + parity(h & (B e_j >> 6)) + U_jj,
 
-    with B(l, e_j) the linear-form word of B(., e_j) on the lanes.  For
-    j < 6 word 0's lanes [0, 2^j) go to [2^j, 2^(j+1)), where h = 0; for
-    j >= 6 the words of the prefixes h < 2^(j-6) go to those of
-    h + 2^(j-6), XORed with all ones where the last two terms sum to 1.
+    for x = 64 h + l, with B(l, e_j) the linear-form word of B(., e_j) on
+    the lanes, XORed with all ones where the last two terms sum to 1.
     """
     if s.dim > MAX_SWEEP_DIM:
         raise ValueError(f"dimension {s.dim} exceeds sweep guard {MAX_SWEEP_DIM}")
     lanes = np.arange(64, dtype=np.uint64)
     words = np.zeros(1 << max(s.dim - 6, 0), dtype=np.uint64)
+    words[0] = sum(eval_q(s, x) << x for x in range(1 << min(s.dim, 6)))
     prefixes = np.arange(len(words) // 2, dtype=np.uint64)
-    for j in range(s.dim):
+    for j in range(6, s.dim):
         image = bilinear_image(s, 1 << j)
         form = np.bitwise_or.reduce(
             (np.bitwise_count(lanes & np.uint64(image)) & 1) << lanes)
         diag = s.upper.bits[j] >> j & 1
-        if j < 6:
-            half = (1 << (1 << j)) - 1  # lanes [0, 2^j)
-            words[0] |= ((words[0] ^ form ^ np.uint64(half * diag))
-                         & np.uint64(half)) << np.uint64(1 << j)
-        else:
-            size = 1 << (j - 6)
-            flip = (np.bitwise_count(prefixes[:size] & np.uint64(image >> 6))
-                    ^ diag) & 1
-            words[size:2 * size] = words[:size] ^ form ^ -flip.astype(np.uint64)
+        size = 1 << (j - 6)
+        flip = (np.bitwise_count(prefixes[:size] & np.uint64(image >> 6))
+                ^ diag) & 1
+        words[size:2 * size] = words[:size] ^ form ^ -flip.astype(np.uint64)
     return words
 
 

@@ -24,7 +24,7 @@ Python integers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import comb
@@ -67,18 +67,6 @@ def run_check(check: Check) -> dict:
 def checks() -> list[Check]:
     """Every check, in fixed order; an id's first dotted part names its
     module."""
-    def h2_params():
-        p = srg.srg_params(srg.perp_graph(f2quad.hyperbolic(2)))
-        return (p.v, p.k, p.lam, p.mu)
-
-    def h5_params():
-        p = srg.srg_params(srg.perp_graph(f2quad.hyperbolic(5)))
-        return (p.v, p.k, p.lam, p.mu, p.r, p.s, p.f, p.g)
-
-    def feasible():
-        return [(p.lam, p.mu, p.r, p.s, p.f, p.g)
-                for p in srg.feasible_pairs(139503, 4590)]
-
     return [
         Check("code.rm14-dimension", "1.1", "5",
               lambda: f2linalg.rank(f2linalg.rm14())),
@@ -147,12 +135,18 @@ def checks() -> list[Check]:
                   f2quad.hyperbolic(5), 5) is not None),
         Check("quad.h2-isometries", "1.5", "(72, 36)",
               lambda: f2quad.isometry_counts(f2quad.hyperbolic(2))),
-        Check("srg.h2-perp", "2.5", "(9, 4, 1, 2)", h2_params),
+        Check("srg.h2-perp", "2.5", "(9, 4, 1, 2)",
+              lambda: astuple(srg.srg_params(
+                  srg.perp_graph(f2quad.hyperbolic(2))))[:4]),
         Check("srg.h5-perp", "2.5",
-              "(527, 270, 141, 135, 15, -9, 186, 340)", h5_params,
+              "(527, 270, 141, 135, 15, -9, 186, 340)",
+              lambda: astuple(srg.srg_params(
+                  srg.perp_graph(f2quad.hyperbolic(5)))),
               slow=True),
         Check("srg.feasible-pairs", "2.6-2.7",
-              "[(621, 135, 495, -9, 2482, 137020)]", feasible),
+              "[(621, 135, 495, -9, 2482, 137020)]",
+              lambda: [astuple(p)[2:]
+                       for p in srg.feasible_pairs(139503, 4590)]),
         Check("orders.e6-q2", "2.6-2.7", "2^36·3^6·5^2·7^3·13·17·31·73",
               lambda: gord.e6_order(2)),
         Check("orders.omega-plus-10-2", "2.6-2.7", "2^20·3^5·5^2·7·17·31",

@@ -112,6 +112,15 @@ def test_lattice_roundtrip_through_file(tmp_path, capsys):
         "rank = 16", "den = 2", "frame-scale = 2", "det = 256", "even = True"]
 
 
+def test_invariants_of_a_scaled_lattice_file(tmp_path, capsys):
+    path = tmp_path / "bw16x5.lat"
+    exlat.write_lattice(exlat.scale(bw.bw16(), 5), path)
+    code, stdout, _ = _run(capsys, "lattice", "invariants", "--file",
+                           str(path))
+    assert code == 0
+    assert "min-norm = 100" in stdout.splitlines()
+
+
 def test_quad_singular_counts(capsys):
     code, stdout, _ = _run(capsys, "quad", "singular-count", "--space", "h5")
     assert code == 0 and stdout.strip() == "527"

@@ -870,11 +870,20 @@ def test_generated_by_norm_vectors_matches_hnf_oracle():
     assert seen == {True, False}
 
 
-def test_minimum_norm_values_and_failure():
+def test_minimum_norm_values():
     assert exlat.minimum_norm(_zn(2)) == 1
     assert exlat.minimum_norm(_zn(2, frame=2)) == 2
-    with pytest.raises(RuntimeError):
-        exlat.minimum_norm(exlat.scale(_zn(1), 10))  # norm 100 > 64
+    # no cap on the radius: scaled lattices search the same tree
+    assert exlat.minimum_norm(exlat.scale(_zn(1), 10)) == 100
+    assert exlat.minimum_norm(exlat.scale(bw.bw16(), 5)) == 100
+
+
+def test_minimum_norm_reuses_the_kissing_search():
+    exlat.enumerate_norm(bw.bw16(), 4)
+    before = exlat._shells.cache_info()
+    assert exlat.minimum_norm(bw.bw16()) == 4
+    after = exlat._shells.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 # --------------------------------------------------------------------------
