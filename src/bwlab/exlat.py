@@ -149,12 +149,20 @@ def gram(b: ScaledBasis) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _solve(A, B) -> tuple[list[list[int]] | None, int]:
-    """Bareiss fraction-free Gauss-Jordan elimination of [A | B].
+    """Bareiss fraction-free elimination of [A | B], then back-substitution.
 
     Returns (X, d) with A . X = d . B exactly and d = det A, signed; when
-    A is singular, (None, 0).  Every intermediate entry is a minor of
-    [A | B], so each division is exact.  Serves determinant and dual, the
-    two places where a Gram matrix is the input.
+    A is singular, (None, 0).  Forward elimination touches only the
+    columns right of each pivot, and every entry it writes is a minor of
+    [A | B], so each division by the previous pivot is exact.  It leaves
+    [U | B'] = L . [PA | PB] with U upper triangular and L invertible, so
+    U . X = d . B' and, from the last row up,
+
+        X_i = (d . B'_i - sum_{j > i} U_ij . X_j) / U_ii.
+
+    X = d . A^-1 . B = adj(A) . B is integral (Cramer's rule), so these
+    divisions are exact too, and (X, d) is unique.  Serves determinant
+    and dual, the two places where a Gram matrix is the input.
     """
     n = len(A)
     m = [[int(x) for x in a] + [int(x) for x in b] for a, b in zip(A, B)]
@@ -166,15 +174,24 @@ def _solve(A, B) -> tuple[list[list[int]] | None, int]:
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        rk = m[k]
-        p = rk[k]
-        for i in range(n):
-            f = m[i][k]
-            if i != k and (f or p != prev):
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], rk)]
+        p, tail = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            f = row[k]
+            if f or p != prev:
+                row[k + 1:] = [(p * x - f * y) // prev
+                               for x, y in zip(row[k + 1:], tail)]
         prev = p
-    # the row swaps leave X alone and flip the sign of the pivot
-    return [[sign * x for x in row[n:]] for row in m], sign * prev
+    # the row swaps flip the sign of the last pivot, det PA
+    d = sign * prev
+    X = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = [d * x for x in row[n:]]
+        for j in range(i + 1, n):
+            if row[j]:
+                acc = [a - row[j] * x for a, x in zip(acc, X[j])]
+        X[i] = [a // row[i] for a in acc]
+    return X, d
 
 
 def determinant(g) -> Fraction:

@@ -8,16 +8,21 @@ m-fold Kronecker power of the swap/sign pair
 with -Identity the central involution.  Every element is a monomial
 +-1 matrix, stored as a signed permutation: g[j] = s * (p + 1) says
 g e_j = s e_p, so a product is one index lookup per coordinate and the
-trace is the sum of the signs on the fixed points.  Irreducibility of
-the defining module is certified by the exact character norm
-sum(trace(g)^2)/|G|, which is 1 exactly for irreducible real-trace
-modules.
+trace is the sum of the signs on the fixed points.  The group is built
+one breadth-first layer at a time as an int array of such rows: a
+layer's products with every generator are one gather, and a set of row
+bytes keeps the new ones, in the order a per-element FIFO queue would
+meet them.  Irreducibility of the defining module is certified by the
+exact character norm sum(trace(g)^2)/|G|, which is 1 exactly for
+irreducible real-trace modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+
+import numpy as np
 
 CLOSURE_CAP = 1 << 13  # closure gives up past this many elements
 
@@ -49,10 +54,6 @@ def _kron(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
                  for x in a for y in b)
 
 
-def _trace(g: tuple[int, ...]) -> int:
-    return sum((x == j) - (x == -j) for j, x in enumerate(g, 1))
-
-
 def extraspecial_plus(m: int) -> MatrixGroup:
     """Plus-type extraspecial group of order 2^(1+2m) on dimension 2^m."""
     if m < 1 or 1 << (1 + 2 * m) > CLOSURE_CAP:
@@ -78,21 +79,34 @@ def block_double(a: MatrixGroup) -> MatrixGroup:
     return MatrixGroup(tuple(_kron(_I, g) for g in a.generators), 2 * a.dim)
 
 
+def _elements(g: MatrixGroup) -> np.ndarray:
+    """All distinct elements as (order, dim) int32 rows, identity first.
+
+    Layer k + 1 is every product e * gen with e in layer k, read
+    element-major and generator-minor, less the rows already seen: the
+    order of a FIFO queue that appends each new product as it meets it.
+    """
+    n = g.dim
+    gens = np.array(g.generators, dtype=np.int32).reshape(-1, n)
+    cols, signs = np.abs(gens) - 1, np.sign(gens)
+    layer = np.arange(1, n + 1, dtype=np.int32)[None]
+    layers, seen, width = [layer], {layer.tobytes()}, layer.nbytes
+    while len(layer):
+        flat = (layer[:, cols] * signs).tobytes()
+        rows = (flat[i:i + width] for i in range(0, len(flat), width))
+        new = [r for r in dict.fromkeys(rows) if r not in seen]
+        seen.update(new)
+        if len(seen) > CLOSURE_CAP:
+            raise ClosureCapError(f"closure exceeded cap {CLOSURE_CAP}; "
+                                  "construction suspect")
+        layer = np.frombuffer(b"".join(new), dtype=np.int32).reshape(-1, n)
+        layers.append(layer)
+    return np.concatenate(layers)
+
+
 def closure(g: MatrixGroup) -> list[tuple[int, ...]]:
     """All distinct elements by breadth-first products, identity first."""
-    elems = [tuple(range(1, g.dim + 1))]
-    seen = set(elems)
-    for e in elems:  # a FIFO queue: products appended here are visited later
-        for gen in g.generators:
-            prod = tuple(e[x - 1] if x > 0 else -e[-x - 1] for x in gen)
-            if prod not in seen:
-                if len(elems) >= CLOSURE_CAP:
-                    raise ClosureCapError(
-                        f"closure exceeded cap {CLOSURE_CAP}; "
-                        "construction suspect")
-                seen.add(prod)
-                elems.append(prod)
-    return elems
+    return list(map(tuple, _elements(g).tolist()))
 
 
 def char_norm(g: MatrixGroup) -> int:
@@ -101,9 +115,10 @@ def char_norm(g: MatrixGroup) -> int:
     Value 1 certifies irreducibility of the defining module (traces are
     real integers here, so no conjugation subtleties arise).
     """
-    elems = closure(g)
-    total = sum(_trace(e) ** 2 for e in elems)
-    order = len(elems)
+    elems = _elements(g)
+    fixed = np.arange(1, g.dim + 1)
+    traces = (elems == fixed).sum(1) - (elems == -fixed).sum(1)
+    total, order = int((traces * traces).sum()), len(elems)
     if total % order:
         raise ValueError("character norm is not an integer; non-group input?")
     return total // order

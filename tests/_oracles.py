@@ -4,8 +4,9 @@ Everything here recomputes values by a different method than the
 package: vector counts by exhaustive box enumeration bounded through an
 eigenvalue estimate, series products by the schoolbook double loop,
 series roots by Newton iteration over rationals,
-group closures by products of dense matrices, transported quadratic
-forms by the matrix product T^T U T, glued lattices through an
+group closures by products of dense matrices and by a per-element FIFO
+queue of signed permutations, linear solves by Gauss-Jordan
+elimination, transported quadratic forms by the matrix product T^T U T, glued lattices through an
 orthogonal direct sum, common-neighbour counts by one dense float
 matrix product.  Deliberately slow and simple.
 The small GF(2) matrix arithmetic and graph builders exist only to feed
@@ -135,6 +136,32 @@ def glue_by_direct_sum(left: ScaledBasis, diag: ScaledBasis) -> ScaledBasis:
     rows = [tuple(x * diag.den for x in r) for r in both.mat]
     rows += [tuple(x * both.den for x in (r + r)) for r in diag.mat]
     return exlat.hnf_basis(ScaledBasis(tuple(rows), den, bw.FRAME))
+
+
+def solve_gauss_jordan(A, B):
+    """(X, d) with A . X = d . B and d = det A, signed, by Bareiss's
+    fraction-free Gauss-Jordan elimination of [A | B]: every pivot step
+    rewrites every row over every column.  (None, 0) when A is singular.
+    """
+    n = len(A)
+    m = [[int(x) for x in a] + [int(x) for x in b] for a, b in zip(A, B)]
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return None, 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        rk = m[k]
+        p = rk[k]
+        for i in range(n):
+            f = m[i][k]
+            if i != k and (f or p != prev):
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], rk)]
+        prev = p
+    # the row swaps leave X alone and flip the sign of the pivot
+    return [[sign * x for x in row[n:]] for row in m], sign * prev
 
 
 # --------------------------------------------------------------------------
@@ -346,6 +373,21 @@ def signed_perm_matrix(g) -> np.ndarray:
     for j, x in enumerate(g):
         m[abs(x) - 1, j] = 1 if x > 0 else -1
     return m
+
+
+def closure_by_queue(g) -> list[tuple[int, ...]]:
+    """All elements of a group of signed permutations, one product at a
+    time: each element taken from a FIFO queue is multiplied by every
+    generator, and new products join the end of the queue."""
+    elems = [tuple(range(1, g.dim + 1))]
+    seen = set(elems)
+    for e in elems:
+        for gen in g.generators:
+            prod = tuple(e[x - 1] if x > 0 else -e[-x - 1] for x in gen)
+            if prod not in seen:
+                seen.add(prod)
+                elems.append(prod)
+    return elems
 
 
 def dense_closure(gens, dim: int) -> list[np.ndarray]:

@@ -212,6 +212,7 @@ def test_solve_matches_sympy_and_is_exact():
             A[i] = [c * x for x in A[j]]
         B = [[rng.randint(-5, 5) for _ in range(p)] for _ in range(n)]
         X, d = exlat._solve(A, B)
+        assert (X, d) == _oracles.solve_gauss_jordan(A, B)
         assert d == DomainMatrix.from_list(A, ZZ).det()
         if d == 0:
             singular += 1
@@ -220,6 +221,16 @@ def test_solve_matches_sympy_and_is_exact():
             assert _mul(A, X) == [[d * x for x in row] for row in B]
     assert exlat._solve([[0, 0], [0, 0]], [[1], [2]]) == (None, 0)
     assert singular >= 25
+    # the Gram systems that dual solves, at rank 16 and 32: A = M M^T
+    # and B = M for the canonical rows M, with large minors
+    for b in (bw.bw16(), exlat.dual(bw.bw16()), bw.bw32(), bw.bw1()):
+        M = [list(r) for r in exlat.hnf_basis(b).mat]
+        A = [[sum(x * y for x, y in zip(u, v)) for v in M] for u in M]
+        X, d = exlat._solve(A, M)
+        assert (X, d) == _oracles.solve_gauss_jordan(A, M)
+        assert d == DomainMatrix.from_list(A, ZZ).det() and d > 0
+        assert _mul(A, X) == [[d * x for x in row] for row in M]
+        assert exlat._solve(A, [()] * len(A)) == ([[]] * len(A), d)
 
 
 def test_invariant_factors_match_sympy():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bwlab import xrep
-from ._oracles import dense_closure, signed_perm_matrix
+from ._oracles import closure_by_queue, dense_closure, signed_perm_matrix
 
 GROUPS = {
     **{f"plus-{m}": (lambda m=m: xrep.extraspecial_plus(m)) for m in range(1, 5)},
@@ -29,9 +29,32 @@ def test_closure_matches_dense_oracle(name):
     assert len(elements) == len(oracle)
     for e, m in zip(elements, oracle):
         assert (signed_perm_matrix(e) == m).all()
-        assert xrep._trace(e) == int(np.trace(m))
+    # the squared traces of the dense matrices, summed exactly
     total = sum(int(np.trace(m)) ** 2 for m in oracle)
-    assert xrep.char_norm(g) == total // len(oracle)
+    assert xrep.char_norm(g) * len(oracle) == total
+
+
+QUEUE_GROUPS = {
+    **{f"plus-{m}": (lambda m=m: xrep.extraspecial_plus(m)) for m in range(1, 7)},
+    **{k: v for k, v in GROUPS.items() if not k.startswith("plus-")},
+    "trivial-3": lambda: xrep.MatrixGroup((), 3),
+}
+
+
+@pytest.mark.parametrize("name", QUEUE_GROUPS)
+def test_closure_matches_the_fifo_queue(name):
+    # the layer-at-a-time closure lists the elements the per-element
+    # queue meets, in the order it meets them
+    g = QUEUE_GROUPS[name]()
+    elements = xrep.closure(g)
+    assert elements == closure_by_queue(g)
+    assert all(type(x) is int for e in elements for x in e)
+
+
+def test_trivial_group_closes_to_the_identity():
+    g = xrep.MatrixGroup((), 3)
+    assert xrep.closure(g) == [(1, 2, 3)]
+    assert xrep.char_norm(g) == 9
 
 
 def test_generators_match_dense_kronecker_products():
@@ -114,6 +137,17 @@ def test_closure_cap(monkeypatch):
     monkeypatch.setattr(xrep, "CLOSURE_CAP", 10)
     with pytest.raises(xrep.ClosureCapError):
         xrep.closure(g)
+
+
+@pytest.mark.parametrize("fn", [xrep.closure, xrep.char_norm])
+def test_closure_cap_boundary(monkeypatch, fn):
+    # the cap is the largest order allowed: 32 closes 2^(1+4), 31 does not
+    g = xrep.extraspecial_plus(2)
+    monkeypatch.setattr(xrep, "CLOSURE_CAP", 32)
+    assert len(xrep.closure(g)) == 32 and xrep.char_norm(g) == 1
+    monkeypatch.setattr(xrep, "CLOSURE_CAP", 31)
+    with pytest.raises(xrep.ClosureCapError, match="cap 31"):
+        fn(g)
 
 
 def test_extraspecial_range():
