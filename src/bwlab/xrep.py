@@ -40,6 +40,8 @@ class MatrixGroup:
     dim: int
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dimension must be at least 1")
         # one +-1 entry per column and per row, hence invertible
         for g in self.generators:
             if not (isinstance(g, tuple) and all(isinstance(x, int) for x in g)

@@ -174,6 +174,11 @@ def test_matrix_group_rejects_non_signed_permutation(gen):
         xrep.MatrixGroup((gen,), 2)
 
 
+def test_matrix_group_rejects_dimension_zero():
+    with pytest.raises(ValueError, match="at least 1"):
+        xrep.MatrixGroup((), 0)
+
+
 def test_matrix_group_rejects_flat_generator():
     # one generator passed where the tuple of generators belongs
     with pytest.raises(ValueError, match="signed permutation"):
