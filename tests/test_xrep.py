@@ -13,6 +13,8 @@ GROUPS = {
     **{f"central-{m}": (lambda m=m: xrep.central_product(
         xrep.extraspecial_plus(m), xrep.extraspecial_plus(m))) for m in (1, 2)},
     "double-2": lambda: xrep.block_double(xrep.extraspecial_plus(2)),
+    # no generators: the identity alone, character norm 3^2 / 1
+    "trivial-3": lambda: xrep.MatrixGroup((), 3),
 }
 
 
@@ -37,7 +39,6 @@ def test_closure_matches_dense_oracle(name):
 QUEUE_GROUPS = {
     **{f"plus-{m}": (lambda m=m: xrep.extraspecial_plus(m)) for m in range(1, 7)},
     **{k: v for k, v in GROUPS.items() if not k.startswith("plus-")},
-    "trivial-3": lambda: xrep.MatrixGroup((), 3),
 }
 
 
@@ -49,12 +50,6 @@ def test_closure_matches_the_fifo_queue(name):
     elements = xrep.closure(g)
     assert elements == closure_by_queue(g)
     assert all(type(x) is int for e in elements for x in e)
-
-
-def test_trivial_group_closes_to_the_identity():
-    g = xrep.MatrixGroup((), 3)
-    assert xrep.closure(g) == [(1, 2, 3)]
-    assert xrep.char_norm(g) == 9
 
 
 def test_generators_match_dense_kronecker_products():
@@ -132,22 +127,15 @@ def test_block_double_is_reducible():
 
 
 def test_closure_cap(monkeypatch):
-    # built before the patch: the range check reads the cap too
-    g = xrep.extraspecial_plus(3)
-    monkeypatch.setattr(xrep, "CLOSURE_CAP", 10)
-    with pytest.raises(xrep.ClosureCapError):
-        xrep.closure(g)
-
-
-@pytest.mark.parametrize("fn", [xrep.closure, xrep.char_norm])
-def test_closure_cap_boundary(monkeypatch, fn):
-    # the cap is the largest order allowed: 32 closes 2^(1+4), 31 does not
+    # built before the patch: the range check reads the cap too.  The cap
+    # is the largest order allowed: 32 closes 2^(1+4), 31 does not
     g = xrep.extraspecial_plus(2)
     monkeypatch.setattr(xrep, "CLOSURE_CAP", 32)
     assert len(xrep.closure(g)) == 32 and xrep.char_norm(g) == 1
     monkeypatch.setattr(xrep, "CLOSURE_CAP", 31)
-    with pytest.raises(xrep.ClosureCapError, match="cap 31"):
-        fn(g)
+    for fn in (xrep.closure, xrep.char_norm):
+        with pytest.raises(xrep.ClosureCapError, match="cap 31"):
+            fn(g)
 
 
 def test_extraspecial_range():
