@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import astuple
 from itertools import combinations
 
 import numpy as np
@@ -293,6 +294,21 @@ def test_feasible_pairs_rejects_each_spectral_failure():
     assert srg.feasible_pairs(7, 3) == []
     # (7, 4, 1, 4): disc 9, but 3 does not divide balance -10
     assert srg.feasible_pairs(7, 4) == []
+
+
+# sha256 of the newline-joined astuple reprs of every feasible_pairs row
+# for 3 <= v < 200, 1 <= k <= v - 2, in (v, k, lambda) order
+GRID_ROWS = 1158
+GRID_DIGEST = \
+    "2b63f83b8fdaaa3922ffcbdb52e1ab4a93331fe299577ee843a04396298be3f1"
+
+
+def test_feasible_pairs_grid_pinned():
+    rows = [p for v in range(3, 200) for k in range(1, v - 1)
+            for p in srg.feasible_pairs(v, k)]
+    assert len(rows) == GRID_ROWS
+    text = "\n".join(repr(astuple(p)) for p in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGEST
 
 
 def test_feasible_pairs_input_validation():
