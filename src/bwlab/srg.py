@@ -8,7 +8,8 @@ rows is checked against them with one mismatch mask.  mu >= 1 puts
 every pair within distance 2, so the graph is connected, and mu = 0
 makes every component complete (Brouwer and Van Maldeghem, Strongly
 Regular Graphs, 2022).  feasible_pairs solves the parameter arithmetic
-for a given (v, k) exhaustively.
+for a given (v, k) exhaustively; certified parameters are its row with
+the pair-counted lambda and mu.
 """
 
 from __future__ import annotations
@@ -77,28 +78,6 @@ def perp_graph(s: f2quad.QuadSpace) -> Graph:
     return Graph(n, adj)
 
 
-def _eigen_data(v: int, k: int, lam: int, mu: int):
-    """(r, s, f, g) if the parameter set is spectrally feasible, else None."""
-    disc = (lam - mu) ** 2 + 4 * (k - mu)  # > 0, as lam < k and mu <= k
-    sq = isqrt(disc)
-    balance = 2 * k + (v - 1) * (lam - mu)
-    if sq * sq == disc:
-        if balance % sq:
-            return None
-        spread = balance // sq
-        if (v - 1 - spread) % 2 or spread > v - 1 or spread < -(v - 1):
-            return None
-        f = (v - 1 - spread) // 2
-        g = (v - 1 + spread) // 2
-        r = (lam - mu + sq) // 2
-        s = (lam - mu - sq) // 2
-        return r, s, f, g
-    # irrational eigenvalues: only the conference balance f = g survives
-    if balance != 0 or (v - 1) % 2:
-        return None
-    return None, None, (v - 1) // 2, (v - 1) // 2
-
-
 def srg_params(g: Graph):
     """Exact SRG parameters by checking every pair, or NotStronglyRegular.
 
@@ -108,7 +87,8 @@ def srg_params(g: Graph):
     that breaks one, and every adjacent pair is checked before a mu
     witness is reported.  Common neighbours are popcounts of the
     adjacency rows packed 64 vertices to a word, BLOCK_ROWS rows at a
-    time against the vertices from the block's first row on.
+    time against the vertices from the block's first row on.  The
+    result is the feasible_pairs(n, k) row with the counted lambda, mu.
     """
     n = g.n
     if n < 3:
@@ -148,13 +128,10 @@ def srg_params(g: Graph):
     if mu == 0:
         # every component is complete, and the graph is not: two or more
         return NotStronglyRegular("not connected")
-    if k * (k - lam - 1) != (n - k - 1) * mu:
-        raise RuntimeError("pair-counted SRG breaks k(k-lam-1) = (v-k-1)mu; bug")
-    eig = _eigen_data(n, k, lam, mu)
-    if eig is None:
-        raise RuntimeError("pair-counted SRG with infeasible spectrum; bug")
-    r, s, f, gg = eig
-    return SrgParams(n, k, lam, mu, r, s, f, gg)
+    for p in feasible_pairs(n, k):
+        if (p.lam, p.mu) == (lam, mu):
+            return p
+    raise RuntimeError("pair-counted SRG outside the feasible scan; bug")
 
 
 def feasible_pairs(v: int, k: int) -> list[SrgParams]:
@@ -175,11 +152,24 @@ def feasible_pairs(v: int, k: int) -> list[SrgParams]:
         mu = num // rest
         if not 1 <= mu <= k:
             continue
-        eig = _eigen_data(v, k, lam, mu)
-        if eig is None:
-            continue
-        r, s, f, g = eig
-        out.append(SrgParams(v, k, lam, mu, r, s, f, g))
+        disc = (lam - mu) ** 2 + 4 * (k - mu)  # > 0, as lam < k and mu <= k
+        sq = isqrt(disc)
+        balance = 2 * k + (v - 1) * (lam - mu)
+        if sq * sq == disc:
+            if balance % sq:
+                continue
+            spread = balance // sq
+            if (v - 1 - spread) % 2 or spread > v - 1 or spread < -(v - 1):
+                continue
+            f = (v - 1 - spread) // 2
+            g = (v - 1 + spread) // 2
+            r = (lam - mu + sq) // 2
+            s = (lam - mu - sq) // 2
+            out.append(SrgParams(v, k, lam, mu, r, s, f, g))
+        # irrational eigenvalues: only the conference balance f = g survives
+        elif balance == 0 and (v - 1) % 2 == 0:
+            out.append(SrgParams(v, k, lam, mu, None, None,
+                                 (v - 1) // 2, (v - 1) // 2))
     return out
 
 

@@ -151,6 +151,14 @@ def test_srg_params_at_word_and_block_edges(graph, verdict):
         assert (p.v, p.k, p.lam, p.mu, p.r, p.s, p.f, p.g) == verdict
 
 
+def test_srg_params_raises_when_the_scan_has_no_row(monkeypatch):
+    # a certified SRG always has its feasible_pairs row; an empty scan
+    # can only be a bug, and is reported as one
+    monkeypatch.setattr(srg, "feasible_pairs", lambda v, k: [])
+    with pytest.raises(RuntimeError, match="bug"):
+        srg.srg_params(srg.perp_graph(f2quad.hyperbolic(2)))
+
+
 def test_perp_of_h2_is_srg_9_4_1_2():
     p = srg.srg_params(srg.perp_graph(f2quad.hyperbolic(2)))
     assert isinstance(p, srg.SrgParams)
