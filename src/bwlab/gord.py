@@ -149,10 +149,13 @@ def _check_prime_power(q: int) -> tuple[int, int]:
 
 
 def omega_plus_order(two_m: int, q: int) -> FactoredInteger:
-    """Order of the simple plus-type orthogonal group in dimension 2m.
+    """Order of Omega+(2m, q), the commutator subgroup of O+(2m, q).
 
     q^{m(m-1)} (q^m - 1) prod_{i=1}^{m-1} (q^{2i} - 1) / gcd(2, q - 1).
-    Anchored at (4, 2) by the exhaustive isometry sweep (order 36).
+    Not the order of a simple group in general: Omega+(4, q) is not
+    simple (Omega+(4, 2) = S3 x S3), and for odd q the centre has order
+    gcd(4, q^m - 1) / 2.  Anchored at (4, 2) by the exhaustive isometry
+    sweep (order 36).
     """
     if two_m % 2 or two_m < 4:
         raise ValueError("dimension must be even and at least 4")
@@ -183,7 +186,8 @@ def sylow_part(n: FactoredInteger, p: int) -> FactoredInteger:
 # each layer token's pattern, and its order as a function of the integer groups
 _TOKENS = (
     (re.compile(r"^2\^\{(\d+)\+(\d+)\}(?:_[+-])?$"), lambda a, b: _fi(2).pow(a + b)),
-    (re.compile(r"^(\d+)\^\{?(\d+)\}?$"), lambda p, e: _fi(p).pow(e)),
+    # p^e or p^{e}: the lookahead admits a brace only with its partner
+    (re.compile(r"^(\d+)\^(?=\d+$|\{\d+\}$)\{?(\d+)\}?$"), lambda p, e: _fi(p).pow(e)),
     (re.compile(r"^OmegaPlus\((\d+),(\d+)\)$"), omega_plus_order),
     (re.compile(r"^E6\((\d+)\)$"), e6_order),
     (re.compile(r"^(\d+)$"), _fi),

@@ -79,6 +79,13 @@ def test_omega_plus_orders_match_classical_values():
     assert gord.omega_plus_order(4, 2).value == 36
     assert gord.omega_plus_order(6, 2).value == 20160  # isomorphic to A8
     assert str(gord.omega_plus_order(10, 2)) == "2^20·3^5·5^2·7·17·31"
+    # odd q, from independent classical orders: Omega+(4, 3) is the
+    # central product SL2(3) o SL2(3), and Omega+(6, 3) = PSL4(3), its
+    # centre being trivial as gcd(4, 3^3 - 1) / 2 = 1
+    sl2_3 = 3 * (3 ** 2 - 1)
+    assert gord.omega_plus_order(4, 3).value == 288 == sl2_3 ** 2 // 2
+    psl4_3 = 3 ** 6 * (3 ** 2 - 1) * (3 ** 3 - 1) * (3 ** 4 - 1) // 2
+    assert gord.omega_plus_order(6, 3).value == 6065280 == psl4_3
 
 
 def test_omega_plus_input_validation():
@@ -126,6 +133,8 @@ def test_shape_plain_integer_layers():
 
 
 def test_shape_rejects_bad_tokens():
-    for bad in ("2^{1+}", "Foo(4,2)", "E7(2)", "", "2..3", "x"):
+    for bad in ("2^{1+}", "Foo(4,2)", "E7(2)", "", "2..3", "x",
+                "2^{3", "2^3}", "2^{3}}"):
         with pytest.raises(ValueError):
             gord.shape_order(bad)
+    assert gord.shape_order("2^{3}").value == gord.shape_order("2^3").value == 8
