@@ -126,6 +126,16 @@ def test_similarity_detects_mismatch():
     assert not bw.similarity_invariants(d4, bw.bw16(), 1, (2,))
 
 
+def test_similarity_rejects_an_odd_lattice():
+    # det(a) = 2 = 2^1 det(b), so the determinant test passes and the
+    # parity test decides: a has Gram (2), b has Gram (1) and is odd
+    a = ScaledBasis(((1,),), 1, 2)
+    b = ScaledBasis(((1,),), 1)
+    assert exlat.determinant(exlat.gram(a)) == 2
+    assert exlat.is_even(exlat.gram(a)) and not exlat.is_even(exlat.gram(b))
+    assert not bw.similarity_invariants(a, b, 2, (1,))
+
+
 def test_similarity_rejects_bad_scale():
     with pytest.raises(ValueError):
         bw.similarity_invariants(bw.bw16(), bw.bw16(), 0, (2,))

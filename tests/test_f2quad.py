@@ -1,5 +1,6 @@
 """Quadratic spaces over GF(2): counts, Arf type, transports, isometries."""
 
+import hashlib
 import random
 import time
 
@@ -29,6 +30,19 @@ def test_hyperbolic_singular_counts():
 def test_elliptic_singular_counts():
     assert tuple(fq.singular_count(fq.elliptic(m))
                  for m in range(1, 5)) == (0, 5, 27, 119)
+
+
+# sha256 of the repr of [elliptic(m).upper.bits for 1 <= m <= 13]
+ELLIPTIC_ROWS_DIGEST = \
+    "98ba985f2065772eb48c8fc7b6ab21b462e7c3c880b7a9f42baddce21d6da2ad"
+
+
+def test_elliptic_rows_pinned():
+    assert [fq.elliptic(m).upper.bits for m in range(1, 4)] == \
+        [(3, 2), (2, 0, 12, 8), (2, 0, 8, 0, 48, 32)]
+    rows = [fq.elliptic(m).upper.bits for m in range(1, 14)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        ELLIPTIC_ROWS_DIGEST
 
 
 def test_counts_match_closed_forms():

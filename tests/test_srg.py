@@ -349,3 +349,24 @@ def test_edges_file_roundtrip(tmp_path):
     back = _oracles.from_edges(10, [tuple(map(int, line.split()))
                                for line in path.read_text().splitlines()])
     assert (back.adjacency == g.adjacency).all()
+
+
+# sha256 of the edge file of the polar graph of O+(10, 2)
+H5_EDGES_DIGEST = \
+    "3ce753a70c20c8028bfac3546c2291e829a948197e2117ae1704e4d7b12a1582"
+
+
+def test_edges_file_of_h5_pinned(tmp_path):
+    path = tmp_path / "h5.edges"
+    srg.write_edges(srg.perp_graph(f2quad.hyperbolic(5)), path)
+    data = path.read_bytes()
+    assert data.count(b"\n") == 71145
+    assert data.startswith(b"0 ") and data.endswith(b"\n")
+    assert hashlib.sha256(data).hexdigest() == H5_EDGES_DIGEST
+
+
+def test_edges_file_of_an_edgeless_graph_is_empty(tmp_path):
+    for n in (0, 3):
+        path = tmp_path / f"empty{n}.edges"
+        srg.write_edges(_oracles.from_edges(n, []), path)
+        assert path.read_bytes() == b""
