@@ -47,8 +47,9 @@ def _space(text: str):
         raise argparse.ArgumentTypeError(
             f"space must look like h5 or e4, got {text!r}")
     kind, half_dim = m.group(1), int(m.group(2))
-    if half_dim < 1:
-        raise argparse.ArgumentTypeError("space index must be >= 1")
+    if not 1 <= half_dim <= f2quad.MAX_SWEEP_DIM // 2:
+        raise argparse.ArgumentTypeError(
+            f"space index must be from 1 to {f2quad.MAX_SWEEP_DIM // 2}")
     return (kind, half_dim)
 
 

@@ -62,14 +62,9 @@ def hyperbolic(m: int) -> QuadSpace:
 
 def elliptic(m: int) -> QuadSpace:
     """Hyperbolic planes plus one anisotropic plane x^2 + xy + y^2."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    rows = [0] * (2 * m)
-    for i in range(m - 1):
-        rows[2 * i] = 1 << (2 * i + 1)
-    a = 2 * m - 2
-    rows[a] = (1 << a) | (1 << (a + 1))
-    rows[a + 1] = 1 << (a + 1)
+    rows = list(hyperbolic(m).upper.bits)
+    rows[-2] |= 1 << (2 * m - 2)
+    rows[-1] = 1 << (2 * m - 1)
     return QuadSpace(2 * m, F2Matrix(2 * m, 2 * m, tuple(rows)))
 
 

@@ -8,8 +8,9 @@ rows is checked against them with one mismatch mask.  mu >= 1 puts
 every pair within distance 2, so the graph is connected, and mu = 0
 makes every component complete (Brouwer and Van Maldeghem, Strongly
 Regular Graphs, 2022).  feasible_pairs solves the parameter arithmetic
-for a given (v, k) exhaustively; certified parameters are its row with
-the pair-counted lambda and mu.
+for a given (v, k) exhaustively, and integrality alone makes its
+multiplicities positive (proof in its docstring); certified parameters
+are its row with the pair-counted lambda and mu.
 """
 
 from __future__ import annotations
@@ -138,8 +139,14 @@ def feasible_pairs(v: int, k: int) -> list[SrgParams]:
     """Exhaustive scan of (lambda, mu) feasible for an SRG(v, k, *, *).
 
     Keeps pairs with 0 <= lambda <= k-1, 1 <= mu <= k satisfying the
-    counting identity with integral non-negative multiplicities and
-    integral eigenvalues (or the conference balance); ascending lambda.
+    counting identity with integral eigenvalues and multiplicities, or
+    the conference balance; ascending lambda.  Signs need no test: disc
+    = (lambda - mu)^2 + 4(k - mu) is (lambda - mu)^2 mod 4, so a root sq
+    makes r = (lambda - mu + sq)/2 >= 0 and s = (lambda - mu - sq)/2 <= -1
+    integers (sq >= |lambda - mu|, and s >= 0 needs lambda >= mu = k), so
+    f = ((v-1)(-s) - k)/sq > 0 and g = ((v-1) r + k)/sq > 0.  A zero
+    balance gives (v-1)(mu - lambda) = 2k < 2(v-1), so mu - lambda = 1,
+    v - 1 = 2k and f = g = k.
     """
     if not 0 < k < v - 1:
         raise ValueError("need 0 < k < v - 1")
@@ -159,7 +166,7 @@ def feasible_pairs(v: int, k: int) -> list[SrgParams]:
             if balance % sq:
                 continue
             spread = balance // sq
-            if (v - 1 - spread) % 2 or spread > v - 1 or spread < -(v - 1):
+            if (v - 1 - spread) % 2:
                 continue
             f = (v - 1 - spread) // 2
             g = (v - 1 + spread) // 2
@@ -167,15 +174,11 @@ def feasible_pairs(v: int, k: int) -> list[SrgParams]:
             s = (lam - mu - sq) // 2
             out.append(SrgParams(v, k, lam, mu, r, s, f, g))
         # irrational eigenvalues: only the conference balance f = g survives
-        elif balance == 0 and (v - 1) % 2 == 0:
-            out.append(SrgParams(v, k, lam, mu, None, None,
-                                 (v - 1) // 2, (v - 1) // 2))
+        elif balance == 0:
+            out.append(SrgParams(v, k, lam, mu, None, None, k, k))
     return out
 
 
 def write_edges(g: Graph, path) -> None:
     """Edge list, one 'i j' pair per line with i < j, vertices 0-indexed."""
-    iu, ju = np.nonzero(np.triu(g.adjacency, 1))
-    with open(path, "w") as fh:
-        for i, j in zip(iu, ju):
-            fh.write(f"{i} {j}\n")
+    np.savetxt(path, np.argwhere(np.triu(g.adjacency, 1)), fmt="%d")

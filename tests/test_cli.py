@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bwlab import bw, cli, exlat, srg
+from bwlab import bw, cli, exlat, f2quad, srg
 
 from . import _oracles
 
@@ -205,6 +205,20 @@ def test_usage_errors_exit_2(capsys):
                  ["quad", "singular-count", "--space", "h0"]):
         assert cli.main(argv) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("space", ["h14", "e14", "h1000000"])
+def test_space_past_the_sweep_guard_exits_2_unbuilt(space, monkeypatch,
+                                                    capsys):
+    # hyperbolic(m) holds about m^2 bits, so the half-dimension is
+    # checked while parsing, before any form is built
+    built = []
+    monkeypatch.setattr(f2quad, "hyperbolic", built.append)
+    assert cli.main(["quad", "singular-count", "--space", space]) == 2
+    assert "space index must be from 1 to 13" in capsys.readouterr().err
+    assert built == []
+    assert cli._space("h13") == ("h", 13)
+    assert cli._space("e1") == ("e", 1)
 
 
 @pytest.mark.parametrize("argv", [

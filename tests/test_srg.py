@@ -317,6 +317,18 @@ def test_feasible_pairs_grid_pinned():
     assert len(rows) == GRID_ROWS
     text = "\n".join(repr(astuple(p)) for p in rows)
     assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGEST
+    # the theorem that makes a range test on the multiplicities and a
+    # parity test on conference rows unnecessary
+    conference = [p for p in rows if p.r is None]
+    assert conference and len(conference) < len(rows)
+    for p in rows:
+        assert p.f > 0 and p.g > 0 and p.f + p.g == p.v - 1
+        if p.r is None:
+            assert p.s is None
+            assert p.v == 2 * p.k + 1 and p.f == p.g == p.k
+        else:
+            assert p.r >= 0 > p.s
+            assert p.k + p.f * p.r + p.g * p.s == 0
 
 
 def test_feasible_pairs_input_validation():
