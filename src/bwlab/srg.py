@@ -143,7 +143,7 @@ def feasible_pairs(v: int, k: int) -> list[SrgParams]:
     the conference balance; ascending lambda.  Signs need no test: disc
     = (lambda - mu)^2 + 4(k - mu) is (lambda - mu)^2 mod 4, so a root sq
     makes r = (lambda - mu + sq)/2 >= 0 and s = (lambda - mu - sq)/2 <= -1
-    integers (sq >= |lambda - mu|, and s >= 0 needs lambda >= mu = k), so
+    integers (sq >= |lambda - mu|, and s >= 0 needs lambda >= mu = k), whence
     f = ((v-1)(-s) - k)/sq > 0 and g = ((v-1) r + k)/sq > 0.  A zero
     balance gives (v-1)(mu - lambda) = 2k < 2(v-1), so mu - lambda = 1,
     v - 1 = 2k and f = g = k.
