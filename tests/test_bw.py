@@ -5,6 +5,7 @@ norm 8, are marked slow;
 everything else stays under a few seconds.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -22,6 +23,21 @@ def test_bw16_shape():
     assert len(b.mat) == 16
     assert b.den == 2
     assert b.frame_scale == 2
+
+
+# sha256 of repr((mat, den, frame_scale)) of each canonical basis
+BASIS_DIGESTS = {
+    "bw16": "f92d395ff15339ba2acaa756c045a12cbe1c85fec244c6b887fcfda4806673f0",
+    "bw32": "9cc2b0f57d40ef78dfd42f1a79ec8b0c52675786ad151f76fa79df723fcff392",
+    "bw1": "635d05536f68221cc048b1ef1d35699521bbf922fbae13fe611637f9dd6c37d6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_DIGESTS))
+def test_canonical_bases_pinned(name):
+    b = getattr(bw, name)()
+    text = repr((b.mat, b.den, b.frame_scale)).encode()
+    assert hashlib.sha256(text).hexdigest() == BASIS_DIGESTS[name]
 
 
 def test_bw16_determinant():

@@ -5,6 +5,7 @@ _oracles, which bounds coefficients through an eigenvalue estimate and
 never touches the package's search kernel.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -482,6 +483,25 @@ def test_bw16_tree_level_by_level(monkeypatch):
     assert sum(levels) == 1100568
     levels = _level_counts(monkeypatch, bw.bw16(), 6)
     assert len(levels) == 16 and sum(levels) == 164923
+
+
+# sha256 over the blocks that _search yields for BW16 out to norm 8, in
+# order: V.tobytes(), S.tobytes() and V.dtype.str of each
+BW16_BLOCKS_DIGEST = \
+    "69cb44cb4ad68088714b1d88dc848c5eb0f0e9c8319b95a67f14d0b27348838d"
+
+
+def test_bw16_search_blocks_pinned():
+    b = bw.bw16()
+    h = hashlib.sha256()
+    blocks = 0
+    for V, S in exlat._search(b, int(exlat._frame_norm(b, 8))):
+        h.update(V.tobytes())
+        h.update(S.tobytes())
+        h.update(V.dtype.str.encode())
+        blocks += 1
+    assert blocks == 51
+    assert h.hexdigest() == BW16_BLOCKS_DIGEST
 
 
 @pytest.mark.slow

@@ -1,5 +1,6 @@
 """Factored group order arithmetic and dotted shape strings."""
 
+import hashlib
 import random
 
 import pytest
@@ -97,6 +98,28 @@ def test_omega_plus_input_validation():
         gord.omega_plus_order(4, 6)  # 6 is not a prime power
     with pytest.raises(ValueError):
         gord.e6_order(1)
+
+
+# sha256 of the newline-joined results of e6_order(q) and then
+# omega_plus_order(two_m, q), two_m outer, for 0 <= q <= 32 and
+# 0 <= two_m <= 16: str(order), or "TypeName: message" if it raises
+ORDERS_DIGEST = \
+    "b594875b254a0332383d8643a542421b74c0ccd7337ed2d771c524dafd7ee022"
+
+
+def test_order_formulas_pinned_with_their_errors():
+    def line(order, *args):
+        try:
+            return str(order(*args))
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    lines = [line(gord.e6_order, q) for q in range(33)]
+    lines += [line(gord.omega_plus_order, two_m, q)
+              for two_m in range(17) for q in range(33)]
+    assert len(lines) == 594
+    text = "\n".join(lines).encode()
+    assert hashlib.sha256(text).hexdigest() == ORDERS_DIGEST
 
 
 def test_e6_order_at_2():
