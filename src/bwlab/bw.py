@@ -4,9 +4,10 @@ Everything lives in an orthogonal ambient frame whose vectors have
 squared norm 2 (frame_scale 2 in exlat terms), so half- and quarter-
 integer coordinates stay exact with denominators 2 and 4.
 
-The rank-16 lattice is generated by all pairwise sums of frame vectors
-together with half the characteristic sums of first-order Reed-Muller
-codewords.  The rank-32 lattice glues two orthogonal copies along the
+The rank-16 lattice is D16 plus half the characteristic sums of first-order
+Reed-Muller codewords; D16's 16 generators and the five halved generator
+rows of RM(1,4) span it, as any two codewords meet in an even number of
+coordinates.  The rank-32 lattice glues two orthogonal copies along the
 diagonal embedding of the dual; the index-2^16 sublattice reverses the
 roles.  Both steps are instances of one recipe on a pair (L, D):
 
@@ -35,18 +36,17 @@ FRAME = Fraction(2)  # squared norm of each ambient frame vector
 
 @lru_cache(maxsize=None)
 def bw16() -> ScaledBasis:
-    """Canonical rank-16 Barnes-Wall basis (den 2, frame norm 2)."""
+    """Canonical rank-16 Barnes-Wall basis (den 2, frame norm 2) from 21
+    rows: 2 alpha_0 and alpha_0 + alpha_j (j = 1..15) generate D16, and
+    the five halved rows alpha_c / 2 of rm14() give every halved codeword
+    modulo D16, since two codewords meet in an even number of coordinates:
+    alpha_{c+c'} / 2 = alpha_c / 2 + alpha_{c'} / 2 - alpha_{c and c'}."""
     rows = []
-    # frame sums alpha_i + alpha_j, i <= j (i = j gives 2*alpha_i)
-    for i in range(16):
-        for j in range(i, 16):
-            row = [0] * 16
-            row[i] += 2
-            row[j] += 2
-            rows.append(row)
-    # halved codeword sums alpha_c / 2
-    for word in f2linalg.enumerate_codewords(f2linalg.rm14()):
-        rows.append(list(f2linalg.vec_to_bits(word, 16)))
+    for j in range(16):
+        row = [2] + [0] * 15
+        row[j] += 2
+        rows.append(row)
+    rows += [list(f2linalg.vec_to_bits(g, 16)) for g in f2linalg.rm14().bits]
     return exlat.hnf_basis(ScaledBasis.from_rows(rows, 2, FRAME))
 
 

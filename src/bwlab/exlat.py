@@ -409,26 +409,26 @@ def _expand_stage(L: np.ndarray, i: int, C, PN, free: bool, r2: float):
 def _search(b: ScaledBasis, T: int):
     """Depth-first over the pruned tree out to the integer radius T.
 
-    Yields, per leaf stage, a block (V, S): the den-scaled frame rows V of
-    the leaves of exact integer norm 0 < t <= T (norms |x . mat|^2 in
-    lll_reduce(b)'s integer frame), in no particular order, and their
-    int64 norms S.  The float radius is T + ENUM_MARGIN, so a vector of
-    norm t <= T passes every pruning test with at least the slack of a
-    norm-T vector; each leaf's norm is then confirmed exactly.  The root
-    is free (the leading nonzero coordinate is positive), so each leaf
-    stands for the pair {v, -v}.  A stack entry is one stage: the count i
-    of free coordinates, one (t, idx) pair per set level, coordinates r-1
+    Yields, per expansion of the last level, a block (V, S): the
+    den-scaled frame rows V of the leaves of exact integer norm 0 < t <= T
+    (norms |x . mat|^2 in lll_reduce(b)'s integer frame), in no particular
+    order, and their int64 norms S.  The float radius is T + ENUM_MARGIN,
+    so a vector of norm t <= T passes every pruning test with at least the
+    slack of a norm-T vector; each leaf's norm is then confirmed exactly.
+    The root is free (the leading nonzero coordinate is positive), so each
+    leaf stands for {v, -v}.  A stack entry is one stage: the count i of
+    free coordinates, one (t, idx) pair per set level, coordinates r-1
     downwards, idx pointing into the level above, the centre terms C of
     its nodes, level-major (the root's are zeros((r, 1))), and tmax, the
     largest |t| of the expansions its levels were sliced from.  Popping a
-    stage with i > 0 expands it once and pushes its children in column
-    slices C[:, sl] of _CHUNK nodes that share their parents, the all-zero
-    prefix in column 0 of the first; the leaves (i = 0) are pushed as one
-    stage, so a stage holds at most _CHUNK * (2 floor(sqrt(T) / l_min) + 1)
-    children, l_min the least Cholesky diagonal entry (traced peaks: about
-    5.5 MiB for BW16 out to norm 8, 16 MiB for BW32 out to norm 4).  Popping
-    the leaves rebuilds their coordinates X, level-major, by walking idx
-    upwards, then V = X^T . mat and S = |V|^2 in int64.
+    stage expands it once.  Above the last level (i > 1) its children are
+    pushed in column slices C[:, sl] of _CHUNK nodes that share their
+    parents, the all-zero prefix in column 0 of the first, so a stage holds
+    at most _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the
+    least Cholesky diagonal entry (traced peaks: about 5.5 MiB for BW16 out
+    to norm 8, 16 MiB for BW32 out to norm 4).  At i = 1 the children are
+    the leaves, confirmed at once: their coordinates X, level-major, by
+    walking idx upwards, then V = X^T . mat and S = |V|^2 in int64.
 
     X, mat and V are int32 when r * tmax * max|mat| < 2^31, and int64
     otherwise.  A leaf's true entries would fit in int32 far more often,
@@ -449,17 +449,18 @@ def _search(b: ScaledBasis, T: int):
     stack = [(r, (), np.zeros((r, 1)), np.zeros(1), True, 0)]
     while stack:
         i, levels, C, PN, free, tmax = stack.pop()
-        if i > 0:
-            out = _expand_stage(L, i - 1, C, PN, free, r2)
-            if out is not None:
-                t, idx, C, PN = out
-                tmax = max(tmax, -int(t.min()), int(t.max()))
-                step = _CHUNK if i > 1 else len(t)
-                for k in range(0, len(t), step):
-                    sl = slice(k, k + step)
-                    stack.append((i - 1, levels + ((t[sl], idx[sl]),),
-                                  C[:, sl], PN[sl], free and k == 0, tmax))
+        out = _expand_stage(L, i - 1, C, PN, free, r2)
+        if out is None:
             continue
+        t, idx, C, PN = out
+        tmax = max(tmax, -int(t.min()), int(t.max()))
+        if i > 1:
+            for k in range(0, len(t), _CHUNK):
+                sl = slice(k, k + _CHUNK)
+                stack.append((i - 1, levels + ((t[sl], idx[sl]),),
+                              C[:, sl], PN[sl], free and k == 0, tmax))
+            continue
+        levels += ((t, idx),)
         # rebuild X level-major from the parent chains, row j coordinate j;
         # int32 where the bound above keeps every partial sum of X^T . M
         dt = np.int32 if r * tmax * mmax < 1 << 31 else np.int64

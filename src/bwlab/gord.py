@@ -1,9 +1,10 @@
 """Factored-integer arithmetic and finite group order formulas.
 
 Orders are kept in fully factored form (prime -> exponent) and only
-converted to plain integers for display or cross-checks.  The classical
-orthogonal-group formula is anchored at small rank by the backtracking
-isometry search in f2quad.isometry_counts.
+converted to plain integers for display or cross-checks.  Both group
+orders are one Chevalley product over the Weyl degrees, the orthogonal
+one anchored at small rank by the backtracking isometry search in
+f2quad.isometry_counts.
 """
 
 from __future__ import annotations
@@ -138,14 +139,18 @@ def _fi(n: int) -> FactoredInteger:
     return FactoredInteger.from_int(n)
 
 
-def _check_prime_power(q: int) -> tuple[int, int]:
+def _chevalley_order(q: int, degrees, centre: int) -> FactoredInteger:
+    """q^(sum (d - 1)) prod (q^d - 1) / gcd(centre, q - 1) over the Weyl
+    degrees d, q a prime power (Carter, Simple Groups of Lie Type, 9.4)."""
     if q < 2:
         raise ValueError("q must be a prime power >= 2")
-    fac = _factorint(q)
-    if len(fac) != 1:
+    fq = _fi(q)
+    if len(fq.factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    ((p, e),) = fac.items()
-    return p, e
+    order = fq.pow(sum(d - 1 for d in degrees))
+    for d in degrees:
+        order = order.mul(_fi(q ** d - 1))
+    return order.div(_fi(math.gcd(centre, q - 1)))
 
 
 def omega_plus_order(two_m: int, q: int) -> FactoredInteger:
@@ -159,21 +164,12 @@ def omega_plus_order(two_m: int, q: int) -> FactoredInteger:
     """
     if two_m % 2 or two_m < 4:
         raise ValueError("dimension must be even and at least 4")
-    _check_prime_power(q)
-    m = two_m // 2
-    order = _fi(q).pow(m * (m - 1)).mul(_fi(q ** m - 1))
-    for i in range(1, m):
-        order = order.mul(_fi(q ** (2 * i) - 1))
-    return order.div(_fi(math.gcd(2, q - 1)))
+    return _chevalley_order(q, (*range(2, two_m - 1, 2), two_m // 2), 2)
 
 
 def e6_order(q: int) -> FactoredInteger:
     """q^36 (q^12-1)(q^9-1)(q^8-1)(q^6-1)(q^5-1)(q^2-1) / gcd(3, q-1)."""
-    _check_prime_power(q)
-    order = _fi(q).pow(36)
-    for e in (12, 9, 8, 6, 5, 2):
-        order = order.mul(_fi(q ** e - 1))
-    return order.div(_fi(math.gcd(3, q - 1)))
+    return _chevalley_order(q, (2, 5, 6, 8, 9, 12), 3)
 
 
 def sylow_part(n: FactoredInteger, p: int) -> FactoredInteger:

@@ -71,8 +71,7 @@ def checks() -> list[Check]:
         Check("code.rm14-dimension", "1.1", "5",
               lambda: f2linalg.rank(f2linalg.rm14())),
         Check("code.rm14-weights", "1.1", "{0: 1, 8: 30, 16: 1}",
-              lambda: dict(sorted(
-                  f2linalg.weight_enumerator(f2linalg.rm14()).items()))),
+              lambda: f2linalg.weight_enumerator(f2linalg.rm14())),
         Check("lattice.bw16-even", "1.1", "True",
               lambda: exlat.is_even(exlat.gram(bw.bw16()))),
         Check("lattice.bw16-det", "1.1", "256",
