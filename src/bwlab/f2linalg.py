@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-MAX_ENUM_DIM = 24  # guard for codeword span enumeration
+MAX_ENUM_DIM = 24  # dim guard of the full lists: codewords, singular vectors
 
 
 def vec_from_bits(bits) -> int:

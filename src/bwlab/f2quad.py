@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2linalg import F2Matrix, extend_echelon, rank
+from .f2linalg import MAX_ENUM_DIM, F2Matrix, extend_echelon, rank
 
 MAX_SWEEP_DIM = 26
 
@@ -140,6 +140,8 @@ def singular_count(s: QuadSpace, include_zero: bool = False) -> int:
 
 def singular_vectors(s: QuadSpace) -> list[int]:
     """All nonzero x with q(x) = 0, lexicographic on coordinate tuples."""
+    if s.dim > MAX_ENUM_DIM:
+        raise ValueError(f"dimension {s.dim} exceeds list guard {MAX_ENUM_DIM}")
     bits = np.unpackbits(_q_words(s).astype("<u8").view(np.uint8),
                          bitorder="little")[:1 << s.dim]
     vecs = np.flatnonzero(bits == 0)[1:]

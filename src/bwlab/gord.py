@@ -4,7 +4,8 @@ Orders are kept in fully factored form (prime -> exponent) and only
 converted to plain integers for display or cross-checks.  Both group
 orders are one Chevalley product over the Weyl degrees, the orthogonal
 one anchored at small rank by the backtracking isometry search in
-f2quad.isometry_counts.
+f2quad.isometry_counts.  Pollard's rho gives up with a ValueError past
+its step budget.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import lru_cache
 
 # the first 13 primes: trial divisors and Miller-Rabin bases
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_RHO_STEPS = 1 << 20  # Floyd steps per factor found: about 2 s
 
 
 def _isprime(n: int) -> bool:
@@ -50,14 +52,18 @@ def _isprime(n: int) -> bool:
 def _rho(n: int) -> int:
     """A proper factor of the composite n with no factor in _BASES:
     Pollard's rho, x -> x^2 + c for c = 1, 2, ..., with Floyd's cycle
-    search."""
+    search, in at most _RHO_STEPS steps over all c."""
+    budget = _RHO_STEPS
     for c in itertools.count(1):
         x, y, g = 2, 2, 1
-        while g == 1:
+        while g == 1 and budget:
+            budget -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             g = math.gcd(x - y, n)
+        if g == 1:
+            raise ValueError(f"cannot factor {n} in {_RHO_STEPS} rho steps")
         if g != n:
             return g
 

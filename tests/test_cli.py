@@ -141,6 +141,17 @@ def test_quad_tss_found_and_absent(capsys):
     assert stdout.strip() == "none"
 
 
+def test_quad_tss_past_the_list_guard_exits_2(monkeypatch, capsys):
+    def no_sweep(s):
+        raise AssertionError("_q_words called")
+
+    monkeypatch.setattr(f2quad, "_q_words", no_sweep)
+    code, stdout, err = _run(capsys, "quad", "tss", "--space", "h13",
+                             "--k", "1")
+    assert code == 2 and stdout == ""
+    assert "exceeds list guard 24" in err
+
+
 def test_quad_tss_from_a_degenerate_form_file(tmp_path, capsys):
     path = tmp_path / "zero.f2q"
     path.write_text("4\n" + "0 0 0 0\n" * 4)

@@ -91,6 +91,18 @@ def test_singular_vectors_are_the_singular_ones():
     assert sorted(vecs) == sorted(brute)
 
 
+def test_singular_vectors_refuse_past_the_list_guard(monkeypatch):
+    # h13 would list about 2^25 vectors; the guard runs before the sweep
+    def no_sweep(s):
+        raise AssertionError("_q_words called")
+
+    monkeypatch.setattr(fq, "_q_words", no_sweep)
+    with pytest.raises(ValueError, match="list guard"):
+        fq.singular_vectors(fq.hyperbolic(fl.MAX_ENUM_DIM // 2 + 1))
+    with pytest.raises(ValueError, match="list guard"):
+        fq.totally_singular_subspace(fq.hyperbolic(13), 1)
+
+
 def test_singular_vectors_match_brute_force_on_random_forms():
     # every even dim to 16, with forms moved by random transports; dims
     # <= 6 fit in one 64-lane word and have no high coordinates, and

@@ -35,6 +35,16 @@ def test_isprime_needs_all_thirteen_bases():
     assert not gord._isprime((2 ** 31 - 1) * (2 ** 61 - 1))
 
 
+def test_rho_gives_up_past_its_step_budget(monkeypatch):
+    # two 20-bit primes: rho needs about a thousand steps to split them
+    p, q = 999983, 1000003
+    assert gord._isprime(p) and gord._isprime(q)
+    assert gord._factorint(p * q) == {p: 1, q: 1}
+    monkeypatch.setattr(gord, "_RHO_STEPS", 16)
+    with pytest.raises(ValueError, match=f"cannot factor {p * q} in 16"):
+        gord._factorint(p * q)
+
+
 def test_from_int_rejects_nonpositive():
     with pytest.raises(ValueError):
         FactoredInteger.from_int(0)
