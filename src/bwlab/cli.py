@@ -7,16 +7,31 @@ each printed fact becomes a check whose expected and actual values coincide.
 
 Exit codes: 0 all invoked checks pass, 1 at least one check failed,
 2 malformed usage.
+
+Importing this module before numpy pins OpenBLAS to one thread
+(OPENBLAS_NUM_THREADS=1).  Otherwise OpenBLAS starts a pool of idle
+workers that spin on the other cores, about 0.14 s of CPU in every
+process on a 2-core machine, and bwlab never gives them work: every
+kernel is integer or bit arithmetic, and the one float LAPACK call is
+a Cholesky of at most 32 x 32 in the tree search.  A value already in
+the environment wins, so `OPENBLAS_NUM_THREADS=4 bwlab ...` overrides
+the pin.  Code that imports other bwlab modules without this one, or
+loads numpy first, keeps OpenBLAS's default.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import astuple
 from fractions import Fraction
+
+# OpenBLAS reads this once, when numpy loads it; see the module docstring.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import bw, exlat, f2quad, gord, qser, srg, verify
 

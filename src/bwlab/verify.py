@@ -23,12 +23,16 @@ Python integers.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import comb
 from typing import Callable
+
+import numpy as np
 
 from . import bw, exlat, f2linalg, f2quad, gord, qser, srg, xrep
 
@@ -218,6 +222,12 @@ def make_report(rows: list[dict]) -> dict:
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "checks": rows,
         "pass": all(r["pass"] for r in rows),
+        "environment": {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
     }
 
 

@@ -52,16 +52,55 @@ def test_verify_paper_fast_json_and_report_file(argv, checks, tmp_path,
     assert json.loads(out.read_text()) == printed
 
 
-def test_import_loads_neither_sympy_nor_mpmath():
-    # a fresh interpreter, so that the tests' own sympy import is not seen;
-    # importing sympy costs about 0.5 s of start-up and 30 MB
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, bwlab.cli; "
-            "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))")
+def _fresh(code, openblas=None):
+    """Stdout of code run in a fresh interpreter, which has not loaded the
+    tests' own numpy and sympy, with OPENBLAS_NUM_THREADS unset unless
+    openblas gives its value."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=60,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+                         text=True, check=True, timeout=60, env=env)
+    return out.stdout.strip()
+
+
+def test_import_loads_neither_sympy_nor_mpmath():
+    # importing sympy costs about 0.5 s of start-up and 30 MB
+    assert _fresh("import sys, bwlab.cli; "
+                  "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))"
+                  ) == "[]"
+
+
+def test_cli_import_pins_openblas_to_one_thread():
+    # the pin must precede numpy's load, and then OpenBLAS starts no pool
+    out = _fresh("import os, sys, bwlab.cli; "
+                 "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+                 "'numpy' in sys.modules, "
+                 "len(os.listdir('/proc/self/task')) "
+                 "if os.path.isdir('/proc/self/task') else None)")
+    pin, numpy_loaded, threads = out.split()
+    assert (pin, numpy_loaded) == ("1", "True")
+    if sys.platform.startswith("linux"):
+        assert threads == "1"
+
+
+@pytest.mark.parametrize("code, openblas, seen", [
+    pytest.param("import bwlab.cli", "2", "2", id="user-value-kept"),
+    pytest.param("import numpy, bwlab.cli", None, "None",
+                 id="numpy-first-untouched"),
+])
+def test_cli_import_leaves_openblas_alone(code, openblas, seen):
+    assert _fresh(f"import os; {code}; "
+                  "print(os.environ.get('OPENBLAS_NUM_THREADS'))",
+                  openblas) == seen
+
+
+def test_package_import_loads_no_numpy():
+    # so the console script, python -m bwlab.cli and `import bwlab` then
+    # `import bwlab.cli` all reach the pin before numpy loads
+    assert _fresh("import sys, bwlab; print('numpy' in sys.modules)"
+                  ) == "False"
 
 
 def test_verify_paper_text_mode(capsys):

@@ -49,7 +49,7 @@ def test_check_ids_unique_and_schema_exact(fast_report):
         assert isinstance(c["runtime_ms"], int)
         assert c["runtime_ms"] >= 0
     assert set(fast_report.keys()) == {"version", "timestamp", "checks",
-                                       "pass"}
+                                       "pass", "environment"}
 
 
 def test_registry_counts_and_slow_gating(fast_report):
@@ -117,6 +117,22 @@ def test_make_report_flags_failure():
     report = verify.make_report([good, bad])
     assert report["pass"] is False
     assert [c["pass"] for c in report["checks"]] == [True, False]
+
+
+def test_report_environment_block(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    env = verify.make_report([])["environment"]
+    assert list(env) == ["python", "numpy", "cpu_count",
+                         "openblas_num_threads"]
+    assert isinstance(env["python"], str) and env["python"][0].isdigit()
+    assert isinstance(env["numpy"], str) and env["numpy"][0].isdigit()
+    assert env["cpu_count"] is None or (isinstance(env["cpu_count"], int)
+                                        and env["cpu_count"] >= 1)
+    assert env["openblas_num_threads"] is None
+    # the value at report time, not at import time
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert verify.make_report([])["environment"]["openblas_num_threads"] == "3"
+    json.dumps(env)
 
 
 def test_render_text_marks_failures():
