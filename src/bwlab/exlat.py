@@ -34,6 +34,9 @@ import numpy as np
 ENUM_MARGIN = 1e-6
 # nodes per search stage: 2^17 peaked at 127 MiB for BW32 at norm 4
 _CHUNK = 1 << 13
+# centre-term rows a search stage carries; a stage that has used them up
+# rebuilds the next ones with one GEMM
+_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -380,13 +383,15 @@ def _frame_norm(b: ScaledBasis, n) -> Fraction:
 
 
 def _expand_stage(L: np.ndarray, i: int, C, PN, free: bool, r2: float):
-    """One tree layer, vectorized over all live prefixes.  C is level-major,
-    shape (i+1, nodes), row j the centre terms of coordinate j.  Returns
-    each child's coordinate t and parent index idx, with the children's C
-    (rows 0..i-1) and PN.  If free, column 0 is the all-zero prefix and
-    its t = 0 child comes first."""
+    """One tree layer, vectorized over all live prefixes.  C is the
+    stage's window of centre terms, level-major: its rows are coordinates
+    i+1-len(C)..i, one column per node.  Returns each child's coordinate t
+    and parent index idx, with the children's window (the rows but the
+    last, gathered and rank-1 updated on a float64 copy of t) and PN.
+    If free, column 0 is the all-zero prefix and its t = 0 child comes
+    first."""
     ell = L[i, i]
-    c = C[i]
+    c = C[-1]
     rem = np.maximum(r2 - PN, 0.0)
     s = np.sqrt(rem)
     lo = np.ceil((-s - c) / ell - 1e-9).astype(np.int64)
@@ -399,11 +404,24 @@ def _expand_stage(L: np.ndarray, i: int, C, PN, free: bool, r2: float):
         return None
     idx = np.repeat(np.arange(len(cnt)), cnt)
     t = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(total)
-    comp = c[idx] + t * ell
+    tf = t.astype(np.float64)
+    comp = c[idx] + tf * ell
     newPN = PN[idx] + comp * comp
-    newC = np.take(C[:i], idx, axis=1)
-    newC += L[i, :i, None] * t
+    newC = np.take(C[:-1], idx, axis=1)
+    newC += L[i, i - len(newC):i, None] * tf
     return t, idx, newC, newPN
+
+
+def _coords(levels, m: int, dtype) -> np.ndarray:
+    """The set coordinates of the m nodes at the end of the (t, idx) chain
+    levels, level-major: row k is coordinate r - len(levels) + k, filled
+    by walking each node's parent indices upwards."""
+    X = np.empty((len(levels), m), dtype=dtype)
+    j = np.arange(m)
+    for row, (t, idx) in enumerate(reversed(levels)):
+        X[row] = t[j]
+        j = idx[j]
+    return X
 
 
 def _search(b: ScaledBasis, T: int):
@@ -418,17 +436,27 @@ def _search(b: ScaledBasis, T: int):
     The root is free (the leading nonzero coordinate is positive), so each
     leaf stands for {v, -v}.  A stack entry is one stage: the count i of
     free coordinates, one (t, idx) pair per set level, coordinates r-1
-    downwards, idx pointing into the level above, the centre terms C of
-    its nodes, level-major (the root's are zeros((r, 1))), and tmax, the
-    largest |t| of the expansions its levels were sliced from.  Popping a
-    stage expands it once.  Above the last level (i > 1) its children are
-    pushed in column slices C[:, sl] of _CHUNK nodes that share their
-    parents, the all-zero prefix in column 0 of the first, so a stage holds
-    at most _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the
-    least Cholesky diagonal entry (traced peaks: about 5.5 MiB for BW16 out
-    to norm 8, 16 MiB for BW32 out to norm 4).  At i = 1 the children are
-    the leaves, confirmed at once: their coordinates X, level-major, by
-    walking idx upwards, then V = X^T . mat and S = |V|^2 in int64.
+    downwards, idx pointing into the level above, a window C of the
+    centre terms c_j = sum_{l > j} L[l, j] x_l of its nodes for the next
+    len(C) <= _WINDOW coordinates i-len(C)..i-1, level-major, and tmax,
+    the largest |t| of the expansions its levels were sliced from.
+    Popping a stage expands it once; each child's window is one row
+    shorter.  A popped stage whose window is used up (the root's is
+    empty) first rebuilds the rows of coordinates max(i - _WINDOW, 0)..i-1
+    from its prefix coordinates X with one float64 GEMM,
+    L[i:, lo:i].T @ X.  The rebuild sums the same products L[l, j] x_l as
+    the rank-1 updates, in another order, so a centre term differs from
+    the one-row-a-level value by a few ulp; the ENUM_MARGIN slack on the
+    radius and the 1e-9 slack on each coordinate interval cover that.
+    Above the last level (i > 1) the children are pushed in column slices
+    C[:, sl] of _CHUNK nodes that share their parents, the all-zero prefix
+    in column 0 of the first, so a stage holds at most
+    _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the least
+    Cholesky diagonal entry, with at most _WINDOW centre rows each
+    (traced peaks: about 5 MiB for BW16 out to norm 8, 7 MiB for BW32 out
+    to norm 4).  At i = 1 the children are the leaves, confirmed at once:
+    their coordinates X by the same walk up the chain, then V = X^T . mat
+    and S = |V|^2 in int64.
 
     X, mat and V are int32 when r * tmax * max|mat| < 2^31, and int64
     otherwise.  A leaf's true entries would fit in int32 far more often,
@@ -446,9 +474,12 @@ def _search(b: ScaledBasis, T: int):
     r = M.shape[0]
     L = np.linalg.cholesky((M @ M.T).astype(np.float64))
     r2 = float(T) + ENUM_MARGIN
-    stack = [(r, (), np.zeros((r, 1)), np.zeros(1), True, 0)]
+    stack = [(r, (), np.zeros((0, 1)), np.zeros(1), True, 0)]
     while stack:
         i, levels, C, PN, free, tmax = stack.pop()
+        if not len(C):
+            lo = max(i - _WINDOW, 0)
+            C = L[i:, lo:i].T @ _coords(levels, len(PN), np.float64)
         out = _expand_stage(L, i - 1, C, PN, free, r2)
         if out is None:
             continue
@@ -460,15 +491,9 @@ def _search(b: ScaledBasis, T: int):
                 stack.append((i - 1, levels + ((t[sl], idx[sl]),),
                               C[:, sl], PN[sl], free and k == 0, tmax))
             continue
-        levels += ((t, idx),)
-        # rebuild X level-major from the parent chains, row j coordinate j;
         # int32 where the bound above keeps every partial sum of X^T . M
         dt = np.int32 if r * tmax * mmax < 1 << 31 else np.int64
-        X = np.empty((r, len(PN)), dtype=dt)
-        j = np.arange(len(PN))
-        for row, (t, idx) in enumerate(reversed(levels)):
-            X[row] = t[j]
-            j = idx[j]
+        X = _coords(levels + ((t, idx),), len(PN), dt)
         V = np.einsum("ji,jk->ik", X, M.astype(dt, copy=False))
         del X  # not held across the yield
         S = np.einsum("ij,ij->i", V, V, dtype=np.int64)

@@ -612,9 +612,9 @@ def _both_signs(bb, T):
     return hist, sorted(half + [tuple(-x for x in r) for r in half])
 
 
-def test_chunk_split_matches_unchunked_and_box_oracle(monkeypatch):
-    # tiny chunks split almost every level, so leaves rebuild their
-    # coordinates through parent levels that many chunks share
+def _split_cases():
+    """(bb, T, k, want) for 20 random small lattices at three norms each,
+    want their box-oracle rows at scale k, and BW16 at norm 6 (want None)."""
     cases = []
     rng = random.Random(29)
     for _ in range(20):
@@ -628,10 +628,35 @@ def test_chunk_split_matches_unchunked_and_box_oracle(monkeypatch):
                               _oracles.box_norm_vectors(b, step * mult)))
     bw16 = exlat.hnf_basis(bw.bw16())
     cases.append((bw16, int(exlat._frame_norm(bw16, 6)), 1, None))
+    return cases
+
+
+def test_chunk_split_matches_unchunked_and_box_oracle(monkeypatch):
+    # tiny chunks split almost every level, so leaves rebuild their
+    # coordinates through parent levels that many chunks share
+    cases = _split_cases()
     # the reference never splits: BW16 at norm 6 outgrows the default chunk
     monkeypatch.setattr(exlat, "_CHUNK", 1 << 30)
     whole = [_both_signs(bb, T) for bb, T, _, _ in cases]
     monkeypatch.setattr(exlat, "_CHUNK", 7)
+    for (bb, T, k, want), (hist, rows) in zip(cases, whole):
+        assert _both_signs(bb, T) == (hist, rows)
+        if want is not None:
+            assert [tuple(k * x for x in r) for r in rows] == want
+    assert len(cases) > 40 and len(whole[-1][1]) == 61440
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_window_rebuild_matches_whole_window(monkeypatch, chunk):
+    # a one-row window rebuilds the centre terms by GEMM before every
+    # level; a window of 1 << 30 is built once, at the root, and carries
+    # all r rows down by rank-1 updates alone
+    if chunk is not None:
+        monkeypatch.setattr(exlat, "_CHUNK", chunk)
+    cases = _split_cases()
+    monkeypatch.setattr(exlat, "_WINDOW", 1 << 30)
+    whole = [_both_signs(bb, T) for bb, T, _, _ in cases]
+    monkeypatch.setattr(exlat, "_WINDOW", 1)
     for (bb, T, k, want), (hist, rows) in zip(cases, whole):
         assert _both_signs(bb, T) == (hist, rows)
         if want is not None:
@@ -658,12 +683,20 @@ def _scrambled_kz4(k, rng):
     return ScaledBasis.from_rows([[k * x for x in r] for r in U])
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
-def test_large_radius_matches_jacobi_four_squares(monkeypatch, chunk):
+@pytest.mark.parametrize("chunk, window", [
+    pytest.param(None, None, id="None"),
+    pytest.param(7, None, id="7"),
+    pytest.param(None, 1, id="None-window1"),
+    pytest.param(7, 1, id="7-window1"),
+])
+def test_large_radius_matches_jacobi_four_squares(monkeypatch, chunk, window):
     # radii up to the kernel's 2^40 limit, where the float slack
-    # ENUM_MARGIN is far below one ulp of the radius
+    # ENUM_MARGIN is far below one ulp of the radius; a one-row window
+    # takes every centre term from the GEMM rebuild
     if chunk is not None:
         monkeypatch.setattr(exlat, "_CHUNK", chunk)
+    if window is not None:
+        monkeypatch.setattr(exlat, "_WINDOW", window)
     rng = random.Random(30)
     radii = []
     for k in (1, 3, 1000, (1 << 16) + 1, (1 << 18) - 1, 1 << 19,
@@ -796,13 +829,15 @@ def _search_peak_bytes(b, n):
 
 
 def test_bw16_norm8_search_memory():
-    # one stage holds at most _CHUNK parents and their children
-    assert _search_peak_bytes(bw.bw16(), 8) <= 16 << 20
+    # one stage holds at most _CHUNK parents and their children, with at
+    # most _WINDOW centre rows each: about 4.9 MiB
+    assert _search_peak_bytes(bw.bw16(), 8) <= 6.5 * (1 << 20)
 
 
 @pytest.mark.slow
 def test_bw32_norm4_search_memory():
-    assert _search_peak_bytes(bw.bw32(), 4) <= 32 << 20
+    # about 7.2 MiB; a stage that carried all its i centre rows took 16.2 MiB
+    assert _search_peak_bytes(bw.bw32(), 4) <= 12 << 20
 
 
 def test_streamed_rows_and_shell_counts_agree():
