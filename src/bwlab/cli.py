@@ -9,14 +9,20 @@ Exit codes: 0 all invoked checks pass, 1 at least one check failed,
 2 malformed usage.
 
 Importing this module before numpy pins OpenBLAS to one thread
-(OPENBLAS_NUM_THREADS=1).  Otherwise OpenBLAS starts a pool of idle
-workers that spin on the other cores, about 0.14 s of CPU in every
-process on a 2-core machine, and bwlab never gives them work: every
-kernel is integer or bit arithmetic, and the one float LAPACK call is
-a Cholesky of at most 32 x 32 in the tree search.  A value already in
-the environment wins, so `OPENBLAS_NUM_THREADS=4 bwlab ...` overrides
-the pin.  Code that imports other bwlab modules without this one, or
-loads numpy first, keeps OpenBLAS's default.
+(OPENBLAS_NUM_THREADS=1).  Otherwise OpenBLAS starts a pool of workers
+that spin on the other cores, about 0.14 s of CPU in every process on
+a 2-core machine.  bwlab's only float BLAS work is in the tree search:
+one LAPACK Cholesky of at most 32 x 32 per search, the GEMM that
+rebuilds a stage's window of at most 8 centre-term rows, and the GEMM
+that confirms each slice of leaves.  Every other kernel is integer or
+bit arithmetic.  Those GEMMs have an inner dimension of at most 32 and
+at most 2^13 columns, too small to split across threads: with two
+threads the BW32 search out to norm 4 took 0.83-0.85 s of wall and
+1.6 s of CPU on that machine, against 0.60-0.68 s of both with one.
+A value already in the environment wins, so
+`OPENBLAS_NUM_THREADS=4 bwlab ...` overrides the pin.  Code that
+imports other bwlab modules without this one, or loads numpy first,
+keeps OpenBLAS's default.
 """
 
 from __future__ import annotations

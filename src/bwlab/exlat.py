@@ -37,6 +37,8 @@ _CHUNK = 1 << 13
 # centre-term rows a search stage carries; a stage that has used them up
 # rebuilds the next ones with one GEMM
 _WINDOW = 8
+# float64 holds every integer below this exactly; see _search
+_EXACT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -386,38 +388,37 @@ def _expand_stage(L: np.ndarray, i: int, C, PN, free: bool, r2: float):
     """One tree layer, vectorized over all live prefixes.  C is the
     stage's window of centre terms, level-major: its rows are coordinates
     i+1-len(C)..i, one column per node.  Returns each child's coordinate t
-    and parent index idx, with the children's window (the rows but the
-    last, gathered and rank-1 updated on a float64 copy of t) and PN.
-    If free, column 0 is the all-zero prefix and its t = 0 child comes
-    first."""
+    (float64, an exact small integer) and parent index idx, with the
+    children's window (the rows but the last, gathered and rank-1
+    updated) and PN.  If free, column 0 is the all-zero prefix and its
+    t = 0 child comes first."""
     ell = L[i, i]
     c = C[-1]
     rem = np.maximum(r2 - PN, 0.0)
     s = np.sqrt(rem)
-    lo = np.ceil((-s - c) / ell - 1e-9).astype(np.int64)
-    hi = np.floor((s - c) / ell + 1e-9).astype(np.int64)
+    lo = np.ceil((-s - c) / ell - 1e-9)
+    hi = np.floor((s - c) / ell + 1e-9)
     if free:
-        lo[0] = max(lo[0], 0)
-    cnt = np.maximum(hi - lo + 1, 0)
-    total = int(cnt.sum())
+        lo[0] = max(lo[0], 0.0)
+    cnt = np.maximum(hi - lo + 1, 0).astype(np.int64)
+    ends = np.cumsum(cnt)
+    total = int(ends[-1])
     if total == 0:
         return None
     idx = np.repeat(np.arange(len(cnt)), cnt)
-    t = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(total)
-    tf = t.astype(np.float64)
-    comp = c[idx] + tf * ell
+    t = (lo - (ends - cnt))[idx] + np.arange(total)
+    comp = c[idx] + t * ell
     newPN = PN[idx] + comp * comp
     newC = np.take(C[:-1], idx, axis=1)
-    newC += L[i, i - len(newC):i, None] * tf
+    newC += L[i, i - len(newC):i, None] * t
     return t, idx, newC, newPN
 
 
-def _coords(levels, m: int, dtype) -> np.ndarray:
-    """The set coordinates of the m nodes at the end of the (t, idx) chain
-    levels, level-major: row k is coordinate r - len(levels) + k, filled
-    by walking each node's parent indices upwards."""
-    X = np.empty((len(levels), m), dtype=dtype)
-    j = np.arange(m)
+def _coords(levels, j) -> np.ndarray:
+    """The set coordinates, in float64, of the nodes j at the end of the
+    (t, idx) chain levels, level-major: row k is coordinate
+    r - len(levels) + k, filled by walking the parent indices upwards."""
+    X = np.empty((len(levels), len(j)))
     for row, (t, idx) in enumerate(reversed(levels)):
         X[row] = t[j]
         j = idx[j]
@@ -453,17 +454,28 @@ def _search(b: ScaledBasis, T: int):
     in column 0 of the first, so a stage holds at most
     _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the least
     Cholesky diagonal entry, with at most _WINDOW centre rows each
-    (traced peaks: about 5 MiB for BW16 out to norm 8, 7 MiB for BW32 out
-    to norm 4).  At i = 1 the children are the leaves, confirmed at once:
-    their coordinates X by the same walk up the chain, then V = X^T . mat
-    and S = |V|^2 in int64.
+    (traced peaks: about 4.8 MiB for BW16 out to norm 8, 7.2 MiB for
+    BW32 out to norm 4, 6.7 MiB for bw1 out to norm 8).  At i = 1 the
+    children are the leaves, confirmed at once: their coordinates X by the
+    same walk up the chain, then V = X^T . mat and S = |V|^2 in int64.
 
-    X, mat and V are int32 when r * tmax * max|mat| < 2^31, and int64
-    otherwise.  A leaf's true entries would fit in int32 far more often,
-    but the float pruning only estimates which leaves are short; the bound
-    holds for every partial sum of the product whatever the leaves are,
-    so no sum wraps and S is each leaf's exact norm, as the test
-    0 < S <= T needs.
+    Every product and partial sum of X^T . mat is an integer of size at
+    most B = r * tmax * max|mat|, whatever the leaves are: the float
+    pruning only estimates which leaves are short, so the bound must not
+    rest on their norms.  While B < 2^53 (_EXACT) float64 holds each of
+    those integers exactly, so V is exact as a float64 GEMM, X^T @ mat, in
+    any summation order, FMA included.  X is walked in slices of
+    _CHUNK // 4 leaves, each multiplied into its rows of one V; V is int32
+    when B < 2^31 and int64 otherwise, so S is each leaf's exact norm, as
+    the test 0 < S <= T needs.  The slices keep the two float64
+    temporaries of a slice within the size of an int32 V: whole-stage
+    slices raised the BW16 peak above from 4.8 to 6.2 MiB.  When B >= 2^53
+    V is an int64 einsum of X cast to int64.  No input is known that both
+    reaches that branch and has a tree small enough to search: it needs a
+    node coordinate of size 2^33 / r, while sqrt(T) <= 2^20, and LLL's
+    size reduction and Lovasz condition let coordinates outgrow sqrt(T)
+    only by factors that grow with the rank; the tests reach it by
+    lowering _EXACT.
     """
     M = np.array(lll_reduce(b).mat, dtype=np.int64)
     mmax = int(np.abs(M).max(initial=0))
@@ -472,6 +484,7 @@ def _search(b: ScaledBasis, T: int):
     if T > 1 << 40:
         raise ValueError("norm target too large for the int64 kernel")
     r = M.shape[0]
+    Mf = M.astype(np.float64)
     L = np.linalg.cholesky((M @ M.T).astype(np.float64))
     r2 = float(T) + ENUM_MARGIN
     stack = [(r, (), np.zeros((0, 1)), np.zeros(1), True, 0)]
@@ -479,7 +492,7 @@ def _search(b: ScaledBasis, T: int):
         i, levels, C, PN, free, tmax = stack.pop()
         if not len(C):
             lo = max(i - _WINDOW, 0)
-            C = L[i:, lo:i].T @ _coords(levels, len(PN), np.float64)
+            C = L[i:, lo:i].T @ _coords(levels, np.arange(len(PN)))
         out = _expand_stage(L, i - 1, C, PN, free, r2)
         if out is None:
             continue
@@ -491,10 +504,19 @@ def _search(b: ScaledBasis, T: int):
                 stack.append((i - 1, levels + ((t[sl], idx[sl]),),
                               C[:, sl], PN[sl], free and k == 0, tmax))
             continue
-        # int32 where the bound above keeps every partial sum of X^T . M
-        dt = np.int32 if r * tmax * mmax < 1 << 31 else np.int64
-        X = _coords(levels + ((t, idx),), len(PN), dt)
-        V = np.einsum("ji,jk->ik", X, M.astype(dt, copy=False))
+        levels += ((t, idx),)
+        m = len(PN)
+        bound = r * tmax * mmax
+        if bound < _EXACT:
+            V = np.empty((m, M.shape[1]),
+                         dtype=np.int32 if bound < 1 << 31 else np.int64)
+            step = _CHUNK // 4
+            for k in range(0, m, step):
+                X = _coords(levels, np.arange(k, min(k + step, m)))
+                V[k:k + step] = X.T @ Mf
+        else:
+            X = _coords(levels, np.arange(m)).astype(np.int64)
+            V = np.einsum("ji,jk->ik", X, M)
         del X  # not held across the yield
         S = np.einsum("ij,ij->i", V, V, dtype=np.int64)
         ok = (S > 0) & (S <= T)

@@ -730,6 +730,18 @@ def _skewed_rows(rng):
                     dtype=np.int64)
 
 
+def _attained_radius(M, rng):
+    """One of the six least norms n of the nonzero {-1, 0, 1} combinations
+    of M's rows, and the largest k that keeps k*M's entries within 2^20
+    and k*k*n within 2^40."""
+    attained = sorted({int(v @ v) for v in (
+        np.array(x) @ M for x in itertools.product((-1, 0, 1), repeat=len(M)))
+        if v.any()})
+    n = rng.choice(attained[:6])
+    return n, min((1 << 20) // int(np.abs(M).max()),
+                  math.isqrt((1 << 40) // n))
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_skewed_bases_at_attained_radii_match_box_oracle(monkeypatch, chunk):
     # every vector of norm T sits on the pruning boundary, and at k_max
@@ -740,13 +752,7 @@ def test_skewed_bases_at_attained_radii_match_box_oracle(monkeypatch, chunk):
     radii = []
     for _ in range(20):
         M = _skewed_rows(rng)
-        attained = sorted({int(v @ v) for v in (
-            np.array(x) @ M for x in itertools.product((-1, 0, 1),
-                                                       repeat=len(M)))
-            if v.any()})
-        n = rng.choice(attained[:6])
-        k_max = min((1 << 20) // int(np.abs(M).max()),
-                    math.isqrt((1 << 40) // n))
+        n, k_max = _attained_radius(M, rng)
         for k in (1, k_max):
             b = ScaledBasis.from_rows(k * M)
             bb = exlat.hnf_basis(b)
@@ -808,6 +814,50 @@ def test_leaf_dtype_follows_the_overflow_bound(lattice, T, dtype, hist):
         for t in S.tolist():
             got[t] = got.get(t, 0) + 2
     assert dtypes == {np.dtype(dtype)} and got == hist
+
+
+def _gemm_cases():
+    """(canonical basis, T) for BW16 at norm 6, also scaled by the odd
+    k = 2^18 - 1 (basis entries near 2^19, radius near 2^40), the three
+    overflow-bound cases above and seeded skewed bases at attained radii,
+    k = 1 and k_max as in the skewed test."""
+    bw16 = exlat.hnf_basis(bw.bw16())
+    big = exlat.hnf_basis(exlat.scale(bw16, (1 << 18) - 1))
+    cases = [(bw16, int(exlat._frame_norm(bw16, 6))),
+             (big, int(exlat._frame_norm(big, 6 * ((1 << 18) - 1) ** 2))),
+             (exlat.hnf_basis(_wide()), 1024 ** 2),
+             (exlat.hnf_basis(_sheared()), 1865000),
+             (exlat.hnf_basis(_stacked()), 4864 ** 2)]
+    rng = random.Random(32)
+    for _ in range(10):
+        M = _skewed_rows(rng)
+        n, k_max = _attained_radius(M, rng)
+        for k in (1, k_max):
+            cases.append((exlat.hnf_basis(ScaledBasis.from_rows(k * M)),
+                          k * k * n))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_float_gemm_leaves_match_the_int64_einsum(monkeypatch, chunk):
+    # _EXACT = 0 sends every leaf stage to the int64 einsum, the branch
+    # for bounds >= 2^53; at chunk 64 most leaf stages span several
+    # 16-leaf GEMM slices
+    if chunk is not None:
+        monkeypatch.setattr(exlat, "_CHUNK", chunk)
+    cases = _gemm_cases()
+    gemm = [list(exlat._search(bb, T)) for bb, T in cases]
+    monkeypatch.setattr(exlat, "_EXACT", 0)
+    dtypes = set()
+    for (bb, T), blocks in zip(cases, gemm):
+        ref = list(exlat._search(bb, T))
+        assert len(blocks) == len(ref) > 0
+        for (V, S), (W, R) in zip(blocks, ref):
+            assert W.dtype == np.int64 and np.array_equal(V, W)
+            assert np.array_equal(S, R)
+            dtypes.add(V.dtype)
+    assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+    assert sum(len(S) for _, S in gemm[0]) == (4320 + 61440) // 2
 
 
 def _search_peak_bytes(b, n):
