@@ -28,9 +28,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-# exact float-bound slack on the squared-norm radius; candidates are
-# confirmed with integer arithmetic afterwards, so the slack only has
-# to cover float rounding, never correctness
+# absolute slack on the float pruning radius, beside the T-scaled one in
+# _search; leaves are confirmed exactly, so it only covers rounding
 ENUM_MARGIN = 1e-6
 # nodes per search stage: 2^17 peaked at 127 MiB for BW32 at norm 4
 _CHUNK = 1 << 13
@@ -429,53 +428,50 @@ def _search(b: ScaledBasis, T: int):
     """Depth-first over the pruned tree out to the integer radius T.
 
     Yields, per expansion of the last level, a block (V, S): the
-    den-scaled frame rows V of the leaves of exact integer norm 0 < t <= T
-    (norms |x . mat|^2 in lll_reduce(b)'s integer frame), in no particular
-    order, and their int64 norms S.  The float radius is T + ENUM_MARGIN,
-    so a vector of norm t <= T passes every pruning test with at least the
-    slack of a norm-T vector; each leaf's norm is then confirmed exactly.
-    The root is free (the leading nonzero coordinate is positive), so each
-    leaf stands for {v, -v}.  A stack entry is one stage: the count i of
-    free coordinates, one (t, idx) pair per set level, coordinates r-1
-    downwards, idx pointing into the level above, a window C of the
-    centre terms c_j = sum_{l > j} L[l, j] x_l of its nodes for the next
-    len(C) <= _WINDOW coordinates i-len(C)..i-1, level-major, and tmax,
-    the largest |t| of the expansions its levels were sliced from.
+    den-scaled frame rows V (int32) of the leaves of exact integer norm
+    0 < t <= T (norms |x . mat|^2 in lll_reduce(b)'s integer frame), in
+    no particular order, and their int64 norms S.  The root is free (the
+    leading nonzero coordinate is positive), so each leaf stands for
+    {v, -v}.  A stack entry is one stage: one (t, idx) pair per set level,
+    coordinates r-1 downwards, idx pointing into the level above, so the
+    stage expands coordinate i-1 with i = r - len(levels); a window C of
+    the centre terms c_j = sum_{l > j} L[l, j] x_l of its nodes for the
+    next len(C) <= _WINDOW coordinates i-len(C)..i-1, level-major.
     Popping a stage expands it once; each child's window is one row
     shorter.  A popped stage whose window is used up (the root's is
     empty) first rebuilds the rows of coordinates max(i - _WINDOW, 0)..i-1
     from its prefix coordinates X with one float64 GEMM,
-    L[i:, lo:i].T @ X.  The rebuild sums the same products L[l, j] x_l as
-    the rank-1 updates, in another order, so a centre term differs from
-    the one-row-a-level value by a few ulp; the ENUM_MARGIN slack on the
-    radius and the 1e-9 slack on each coordinate interval cover that.
-    Above the last level (i > 1) the children are pushed in column slices
-    C[:, sl] of _CHUNK nodes that share their parents, the all-zero prefix
-    in column 0 of the first, so a stage holds at most
-    _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the least
-    Cholesky diagonal entry, with at most _WINDOW centre rows each
-    (traced peaks: about 4.8 MiB for BW16 out to norm 8, 7.2 MiB for
-    BW32 out to norm 4, 6.7 MiB for bw1 out to norm 8).  At i = 1 the
-    children are the leaves, confirmed at once: their coordinates X by the
-    same walk up the chain, then V = X^T . mat and S = |V|^2 in int64.
+    L[i:, lo:i].T @ X.  Above the last level (i > 1) the children are
+    pushed in column slices C[:, sl] of _CHUNK nodes that share their
+    parents, the all-zero prefix in column 0 of the first, so a stage
+    holds at most _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min
+    the least Cholesky diagonal entry, with at most _WINDOW centre rows each.
 
-    Every product and partial sum of X^T . mat is an integer of size at
-    most B = r * tmax * max|mat|, whatever the leaves are: the float
-    pruning only estimates which leaves are short, so the bound must not
-    rest on their norms.  While B < 2^53 (_EXACT) float64 holds each of
-    those integers exactly, so V is exact as a float64 GEMM, X^T @ mat, in
-    any summation order, FMA included.  X is walked in slices of
-    _CHUNK // 4 leaves, each multiplied into its rows of one V; V is int32
-    when B < 2^31 and int64 otherwise, so S is each leaf's exact norm, as
-    the test 0 < S <= T needs.  The slices keep the two float64
-    temporaries of a slice within the size of an int32 V: whole-stage
-    slices raised the BW16 peak above from 4.8 to 6.2 MiB.  When B >= 2^53
-    V is an int64 einsum of X cast to int64.  No input is known that both
-    reaches that branch and has a tree small enough to search: it needs a
-    node coordinate of size 2^33 / r, while sqrt(T) <= 2^20, and LLL's
-    size reduction and Lovasz condition let coordinates outgrow sqrt(T)
-    only by factors that grow with the rank; the tests reach it by
-    lowering _EXACT.
+    The float pruning runs at the radius T (1 + 2 (4r + 4) u kappa) +
+    ENUM_MARGIN, with u = 2^-53, K = |L^T| |L^-T| and kappa = ||K||_1
+    ||K||_inf >= ||K||_2^2.  For a vector x of norm N let A(x) = sum_j
+    (sum_l |L[l, j] x_l|)^2; as x = L^-T (L^T x), A(x) <= kappa N.
+    Rounding in the Cholesky factor and in the centre-term sums, by rank-1
+    updates or by the GEMM rebuild in any order, moves a computed partial
+    norm of x by at most about (4r + 4) u A(x) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 3.1 and thm. 10.3).
+    So each prefix of a vector of norm <= T passes the radius test; the
+    factor 2 and the 1e-9 slack on each coordinate interval cover the
+    square root and the division that turn that test into the interval.
+    kappa is about 1 for the rank-2 lattices of the tests, 3949 for BW16,
+    35631 for BW32.
+
+    The leaves, the children at i = 1, are confirmed exactly in slices of
+    _CHUNK // 4: their coordinates X come from the walk up the chain,
+    V = X^T @ mat is a float64 GEMM and S = |V|^2 a float64 sum.  The
+    kernel has three limits, each a ValueError: max|mat| <= 2^20,
+    T <= 2^40 and, per slice, r * max|X| * max|mat| < 2^53 (_EXACT).  The
+    last bounds every product and partial sum of the GEMM, so V is exact
+    in any order, FMA included.  Every term and partial sum of S for a
+    row of norm <= T is an integer <= 2^40, so S is exact there; rounding
+    to nearest is monotone and exact on integers up to 2^53, so a row of
+    norm > T gets S > T.  The kept rows have entries <= 2^20 and go into
+    one int32 V and int64 S.
     """
     M = np.array(lll_reduce(b).mat, dtype=np.int64)
     mmax = int(np.abs(M).max(initial=0))
@@ -486,10 +482,13 @@ def _search(b: ScaledBasis, T: int):
     r = M.shape[0]
     Mf = M.astype(np.float64)
     L = np.linalg.cholesky((M @ M.T).astype(np.float64))
-    r2 = float(T) + ENUM_MARGIN
-    stack = [(r, (), np.zeros((0, 1)), np.zeros(1), True, 0)]
+    K = np.abs(L.T) @ np.abs(np.linalg.inv(L).T)
+    kappa = K.sum(0).max() * K.sum(1).max()
+    r2 = T * (1 + (8 * r + 8) * 2.0 ** -53 * kappa) + ENUM_MARGIN
+    stack = [((), np.zeros((0, 1)), np.zeros(1), True)]
     while stack:
-        i, levels, C, PN, free, tmax = stack.pop()
+        levels, C, PN, free = stack.pop()
+        i = r - len(levels)
         if not len(C):
             lo = max(i - _WINDOW, 0)
             C = L[i:, lo:i].T @ _coords(levels, np.arange(len(PN)))
@@ -497,32 +496,32 @@ def _search(b: ScaledBasis, T: int):
         if out is None:
             continue
         t, idx, C, PN = out
-        tmax = max(tmax, -int(t.min()), int(t.max()))
         if i > 1:
             for k in range(0, len(t), _CHUNK):
                 sl = slice(k, k + _CHUNK)
-                stack.append((i - 1, levels + ((t[sl], idx[sl]),),
-                              C[:, sl], PN[sl], free and k == 0, tmax))
+                stack.append((levels + ((t[sl], idx[sl]),), C[:, sl],
+                              PN[sl], free and k == 0))
             continue
         levels += ((t, idx),)
         m = len(PN)
-        bound = r * tmax * mmax
-        if bound < _EXACT:
-            V = np.empty((m, M.shape[1]),
-                         dtype=np.int32 if bound < 1 << 31 else np.int64)
-            step = _CHUNK // 4
-            for k in range(0, m, step):
-                X = _coords(levels, np.arange(k, min(k + step, m)))
-                V[k:k + step] = X.T @ Mf
-        else:
-            X = _coords(levels, np.arange(m)).astype(np.int64)
-            V = np.einsum("ji,jk->ik", X, M)
-        del X  # not held across the yield
-        S = np.einsum("ij,ij->i", V, V, dtype=np.int64)
-        ok = (S > 0) & (S <= T)
-        if not ok.all():  # the all-zero leaf, or one past T by float slack
-            V, S = V[ok], S[ok]
-        yield V, S
+        V = np.empty((m, M.shape[1]), dtype=np.int32)
+        S = np.empty(m, dtype=np.int64)
+        n = 0
+        for k in range(0, m, _CHUNK // 4):
+            X = _coords(levels, np.arange(k, min(k + _CHUNK // 4, m)))
+            if r * int(np.abs(X).max()) * mmax >= _EXACT:
+                raise ValueError("leaf coordinates too large for float64")
+            W = X.T @ Mf
+            del X  # W[ok] below copies the kept rows of W once more
+            N = np.einsum("ij,ij->i", W, W)
+            ok = (N > 0) & (N <= T)
+            if not ok.all():  # the all-zero leaf, or float slack past T
+                W, N = W[ok], N[ok]
+            V[n:n + len(N)] = W
+            S[n:n + len(N)] = N
+            n += len(N)
+            del W, N, ok  # one slice's temporaries at a time
+        yield V[:n], S[:n]
 
 
 @lru_cache(maxsize=64)
@@ -539,7 +538,8 @@ def _shells(b: ScaledBasis, T: int) -> MappingProxyType:
 def enumerate_norm(b: ScaledBasis, n, threads: int | None = None) -> int:
     """Number of lattice vectors of exact norm n (both signs of each pair),
     read from the cached norm histogram of one search out to n.  The
-    search runs in one thread; threads is accepted and ignored.
+    search runs in one thread; threads is accepted and ignored.  Raises
+    ValueError past the search kernel's three limits (see _search).
     """
     del threads
     bb = hnf_basis(b)

@@ -2,7 +2,8 @@
 
 Everything here recomputes values by a different method than the
 package: vector counts by exhaustive box enumeration bounded through an
-eigenvalue estimate, series products by the schoolbook double loop,
+eigenvalue estimate, rank-2 shells by solving a quadratic in exact integers at each second
+coordinate, series products by the schoolbook double loop,
 series roots by Newton iteration over rationals,
 group closures by products of dense matrices and by a per-element FIFO
 queue of signed permutations, linear solves by Gauss-Jordan
@@ -15,7 +16,7 @@ over every totally singular subspace.
 """
 
 from fractions import Fraction
-from math import ceil, floor, gcd, sqrt
+from math import ceil, floor, gcd, isqrt, sqrt
 
 import numpy as np
 
@@ -71,6 +72,35 @@ def box_norm_histogram(b: ScaledBasis, n) -> dict[int, int]:
     inside = S[(S > 0) & (S <= floor(target))]
     norms, counts = np.unique(inside, return_counts=True)
     return dict(zip(norms.tolist(), counts.tolist()))
+
+
+def plane_norm_vectors(b: ScaledBasis, n) -> list[tuple[int, ...]]:
+    """The vectors of exact norm n of the rank-2 lattice b, in the units
+    and order of box_norm_vectors, at any radius.
+
+    With rows u, v and the Gram entries a = u.u, h = u.v, c = v.v, the
+    coefficient y of v ranges over y^2 <= a t / (a c - h^2); for each y the
+    quadratic a x^2 + 2 h x y + c y^2 = t has the integer roots
+    x = (-h y +- s) / a when its reduced discriminant a t - (a c - h^2) y^2
+    is a square s^2.  Integers only: no box, no float.
+    """
+    u, v = b.mat
+    t = Fraction(n) * b.den * b.den / b.frame_scale
+    if t.denominator != 1:
+        return []
+    t = int(t)
+    a, h, c = (sum(p * q for p, q in zip(x, y))
+               for x, y in ((u, u), (u, v), (v, v)))
+    det = a * c - h * h
+    top = isqrt(a * t // det)
+    out = set()
+    for y in range(-top, top + 1):
+        disc = a * t - det * y * y
+        s = isqrt(disc)
+        for num in (-h * y + s, -h * y - s):
+            if s * s == disc and num % a == 0:
+                out.add(tuple(num // a * p + y * q for p, q in zip(u, v)))
+    return sorted(out)
 
 
 def box_norm_count(b: ScaledBasis, n) -> int:

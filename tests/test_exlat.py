@@ -19,7 +19,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
-from bwlab import bw, exlat
+from bwlab import bw, cli, exlat
 from bwlab.exlat import ContainmentError, ScaledBasis
 
 from . import _oracles
@@ -791,15 +791,15 @@ def _plane_hist(T, u, v, ka, kb):
     return dict(zip(norms.tolist(), counts.tolist()))
 
 
-@pytest.mark.parametrize("lattice, T, dtype, hist", [
+@pytest.mark.parametrize("lattice, T, bound, hist", [
     (bw.bw16, 12, np.int32, {8: 4320, 12: 61440}),  # out to norm 6
-    # r * max|t| * max|M| is 2 * 1023 * 2^20 < 2^31 out to 1023^2 and
-    # reaches 2^31 out to 1024^2, where the leaves are confirmed in int64
+    # r * max|x| * max|M| is 2 * 1023 * 2^20 < 2^31 out to 1023^2 and
+    # reaches 2^31 out to 1024^2
     (_wide, 1023 ** 2, np.int32, {k * k: 2 for k in range(1, 1024)}),
     (_wide, 1024 ** 2, np.int64, {k * k: 2 for k in range(1, 1025)}),
     # 3 * 683 * 2^20 >= 2^31: the leaf -683 b0 + b1 has norm
     # 1365^2 + 40^2 <= T, while the free branch stops at 682 b0 (norm
-    # 1364^2), so only the negative side of the levels shows max|t| = 683
+    # 1364^2), so only the negative side shows max|x| = 683
     (_sheared, 1865000, np.int64,
      _plane_hist(1865000, (2, 0), (1, 40), 700, 35)),
     # 8 * 256 * 2^20 = 2^31: b reaches 256 one level above the leaves,
@@ -807,57 +807,77 @@ def _plane_hist(T, u, v, ka, kb):
     (_stacked, 4864 ** 2, np.int64,
      _plane_hist(4864 ** 2, (20, 0), (0, 19), 250, 260)),
 ])
-def test_leaf_dtype_follows_the_overflow_bound(lattice, T, dtype, hist):
+def test_leaf_dtype_follows_the_overflow_bound(monkeypatch, lattice, T,
+                                               bound, hist):
+    # bound is the least integer type that holds r * max|x| * max|M| over
+    # the leaves' coordinates x, which the float64 GEMM bounds by 2^53;
+    # V keeps only rows of norm <= T <= 2^40, whose entries are at most
+    # 2^20, so it is int32 on either side of 2^31
+    bb = exlat.hnf_basis(lattice())
+    rank = len(bb.mat)
+    walked = []
+    coords = exlat._coords
+
+    def recorded(levels, j):
+        X = coords(levels, j)
+        if len(levels) == rank:
+            walked.append(int(np.abs(X).max()))
+        return X
+
+    monkeypatch.setattr(exlat, "_coords", recorded)
     got, dtypes = {}, set()
-    for V, S in exlat._search(exlat.hnf_basis(lattice()), T):
+    for V, S in exlat._search(bb, T):
         dtypes.add(V.dtype)
         for t in S.tolist():
             got[t] = got.get(t, 0) + 2
-    assert dtypes == {np.dtype(dtype)} and got == hist
+    assert dtypes == {np.dtype(np.int32)} and got == hist
+    mmax = max(abs(x) for row in exlat.lll_reduce(bb).mat for x in row)
+    assert (rank * max(walked) * mmax < 1 << 31) == (bound is np.int32)
 
 
-def _gemm_cases():
-    """(canonical basis, T) for BW16 at norm 6, also scaled by the odd
-    k = 2^18 - 1 (basis entries near 2^19, radius near 2^40), the three
-    overflow-bound cases above and seeded skewed bases at attained radii,
-    k = 1 and k_max as in the skewed test."""
-    bw16 = exlat.hnf_basis(bw.bw16())
-    big = exlat.hnf_basis(exlat.scale(bw16, (1 << 18) - 1))
-    cases = [(bw16, int(exlat._frame_norm(bw16, 6))),
-             (big, int(exlat._frame_norm(big, 6 * ((1 << 18) - 1) ** 2))),
-             (exlat.hnf_basis(_wide()), 1024 ** 2),
-             (exlat.hnf_basis(_sheared()), 1865000),
-             (exlat.hnf_basis(_stacked()), 4864 ** 2)]
-    rng = random.Random(32)
-    for _ in range(10):
-        M = _skewed_rows(rng)
-        n, k_max = _attained_radius(M, rng)
-        for k in (1, k_max):
-            cases.append((exlat.hnf_basis(ScaledBasis.from_rows(k * M)),
-                          k * k * n))
-    return cases
+def test_leaf_gemm_guard_raises_and_exits_2(monkeypatch, tmp_path, capsys):
+    # _wide's leaves reach r * max|x| * max|M| = 2 * 1024 * 2^20 = 2^31
+    # out to 1024^2, so a guard lowered to 2^31 stops that search alone
+    monkeypatch.setattr(exlat, "_EXACT", 1 << 31)
+    exlat._shells.cache_clear()
+    assert exlat.enumerate_norm(_wide(), 1023 ** 2) == 2
+    with pytest.raises(ValueError, match="leaf coordinates"):
+        exlat.enumerate_norm(_wide(), 1024 ** 2)
+    path = tmp_path / "wide.lat"
+    exlat.write_lattice(_wide(), path)
+    assert cli.main(["lattice", "enumerate", "--file", str(path), "--norm",
+                     str(1024 ** 2), "--count-only"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "leaf coordinates" in captured.err
 
 
-@pytest.mark.parametrize("chunk", [None, 64])
-def test_float_gemm_leaves_match_the_int64_einsum(monkeypatch, chunk):
-    # _EXACT = 0 sends every leaf stage to the int64 einsum, the branch
-    # for bounds >= 2^53; at chunk 64 most leaf stages span several
-    # 16-leaf GEMM slices
-    if chunk is not None:
-        monkeypatch.setattr(exlat, "_CHUNK", chunk)
-    cases = _gemm_cases()
-    gemm = [list(exlat._search(bb, T)) for bb, T in cases]
-    monkeypatch.setattr(exlat, "_EXACT", 0)
-    dtypes = set()
-    for (bb, T), blocks in zip(cases, gemm):
-        ref = list(exlat._search(bb, T))
-        assert len(blocks) == len(ref) > 0
-        for (V, S), (W, R) in zip(blocks, ref):
-            assert W.dtype == np.int64 and np.array_equal(V, W)
-            assert np.array_equal(S, R)
-            dtypes.add(V.dtype)
-    assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
-    assert sum(len(S) for _, S in gemm[0]) == (4320 + 61440) // 2
+def test_rank2_shells_at_the_longer_lll_row_match_the_plane_oracle():
+    # bases [[p, q], [u, d - u]] with u near 2^15 to 2^18: the longer LLL
+    # row lies on the pruning boundary at radii of about 2^31 to 2^38.
+    # The first lost its LLL row (-354276, 177139), of norm T near
+    # 1.14 * 2^37, to an absolute float slack of 1e-6, below one ulp of T
+    rng = random.Random(37)
+    cases = [(1, 2, 295230, -1)]
+    for e in (15, 16, 17, 18):
+        for _ in range(60):
+            p, q, d = (rng.randint(-3, 3) for _ in range(3))
+            cases.append((p, q, rng.randint(1 << e, 1 << e + 1), d))
+    radii = []
+    for p, q, u, d in cases:
+        if p * (d - u) == q * u:
+            continue
+        b = ScaledBasis.from_rows([[p, q], [u, d - u]])
+        bb = exlat.hnf_basis(b)
+        T = max(sum(x * x for x in r) for r in exlat.lll_reduce(bb).mat)
+        assert bb.den == 1 and T <= 1 << 40
+        hist, rows = _both_signs(bb, T)
+        assert rows == _oracles.plane_norm_vectors(b, T)
+        assert hist[T] == len(rows)
+        if not radii:
+            assert T == 156889709497
+            assert rows == [(-354276, 177139), (354276, -177139)]
+        radii.append(T)
+    assert len(radii) > 200 and max(radii) > 1 << 38
 
 
 def _search_peak_bytes(b, n):
