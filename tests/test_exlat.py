@@ -880,6 +880,76 @@ def test_rank2_shells_at_the_longer_lll_row_match_the_plane_oracle():
     assert len(radii) > 200 and max(radii) > 1 << 38
 
 
+def _gemm_cases():
+    """(canonical basis, T) for BW16 at norm 6, also scaled by the odd
+    k = 2^18 - 1 (basis entries near 2^19, radius near 2^40), the three
+    overflow-bound cases above and seeded skewed bases at attained radii,
+    k = 1 and k_max as in the skewed test."""
+    bw16 = exlat.hnf_basis(bw.bw16())
+    big = exlat.hnf_basis(exlat.scale(bw16, (1 << 18) - 1))
+    cases = [(bw16, int(exlat._frame_norm(bw16, 6))),
+             (big, int(exlat._frame_norm(big, 6 * ((1 << 18) - 1) ** 2))),
+             (exlat.hnf_basis(_wide()), 1024 ** 2),
+             (exlat.hnf_basis(_sheared()), 1865000),
+             (exlat.hnf_basis(_stacked()), 4864 ** 2)]
+    rng = random.Random(32)
+    for _ in range(10):
+        M = _skewed_rows(rng)
+        n, k_max = _attained_radius(M, rng)
+        for k in (1, k_max):
+            cases.append((exlat.hnf_basis(ScaledBasis.from_rows(k * M)),
+                          k * k * n))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_float_gemm_leaves_match_the_int64_einsum(monkeypatch, chunk):
+    # each leaf slice's coordinates X, recorded from the walk, give the
+    # int64 reference X^T @ mat with einsum norms; the float64 GEMM must
+    # keep exactly its rows of norm 0 < t <= T, in order, with the same
+    # norms.  At chunk 64 most leaf stages span several 16-leaf slices
+    if chunk is not None:
+        monkeypatch.setattr(exlat, "_CHUNK", chunk)
+    coords = exlat._coords
+    rank, leaves = [0], []
+
+    def recorded(levels, j):
+        X = coords(levels, j)
+        if len(levels) == rank[0]:
+            leaves.append(X)
+        return X
+
+    monkeypatch.setattr(exlat, "_coords", recorded)
+    cases, bounds = _gemm_cases(), []
+    for bb, T in cases:
+        M = np.array(exlat.lll_reduce(bb).mat, dtype=np.int64)
+        rank[0] = len(M)
+        leaves.clear()
+        blocks = list(exlat._search(bb, T))
+        assert len(blocks) > 0
+        for V, S in blocks:
+            assert V.dtype == np.int32 and S.dtype == np.int64
+        ref_V, ref_S = [], []
+        for X in leaves:
+            Xi = X.astype(np.int64)
+            assert np.array_equal(Xi, X)
+            bounds.append(len(M) * int(np.abs(Xi).max())
+                          * int(np.abs(M).max()))
+            W = Xi.T @ M
+            N = np.einsum("ij,ij->i", W, W)
+            ok = (N > 0) & (N <= T)
+            ref_V.append(W[ok])
+            ref_S.append(N[ok])
+        assert np.array_equal(np.concatenate([V for V, _ in blocks]),
+                              np.concatenate(ref_V))
+        assert np.array_equal(np.concatenate([S for _, S in blocks]),
+                              np.concatenate(ref_S))
+    # the leaf products lie on both sides of the int32 bound 2^31
+    assert min(bounds) < 1 << 31 <= max(bounds)
+    blocks = list(exlat._search(*cases[0]))
+    assert sum(len(S) for _, S in blocks) == (4320 + 61440) // 2
+
+
 def _search_peak_bytes(b, n):
     """tracemalloc peak of one uncached search of b out to norm n."""
     bb = exlat.hnf_basis(b)
