@@ -504,6 +504,22 @@ def test_bw16_search_blocks_pinned():
     assert h.hexdigest() == BW16_BLOCKS_DIGEST
 
 
+# sha256 over the rows [V | S] (int64) of the same search, lexsorted, so
+# that it holds whatever the grouping and order of the blocks
+BW16_ROWS_DIGEST = \
+    "46802aa19d2327a196e06f3b5a40c0e4dd341d8a041f9ebeb717eba8e58d8ae2"
+
+
+def test_bw16_search_rows_pinned():
+    b = bw.bw16()
+    rows = np.concatenate([
+        np.column_stack([V.astype(np.int64), S])
+        for V, S in exlat._search(b, int(exlat._frame_norm(b, 8)))])
+    rows = rows[np.lexsort(rows.T[::-1])]
+    assert rows.shape == ((4320 + 61440 + 522720) // 2, 17)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == BW16_ROWS_DIGEST
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name, norm, nodes", [
     ("bw32", 4, 7789291),
