@@ -390,24 +390,50 @@ def _expand_stage(L: np.ndarray, i: int, C, PN, free: bool, r2: float):
     (float64, an exact small integer) and parent index idx, with the
     children's window (the rows but the last, gathered and rank-1
     updated) and PN.  If free, column 0 is the all-zero prefix and its
-    t = 0 child comes first."""
+    t = 0 child comes first.
+
+    Node j's children run over lo <= t <= hi with lo = -a,
+    a = floor((s + c)/l + 1e-9) and hi = floor((s - c)/l + 1e-9), s the
+    square root of the remaining radius, c the centre term, l = L[i, i].
+    Round-to-nearest commutes with negation, so a is bit for bit minus
+    ceil((-s - c)/l - 1e-9), the direct form of lo.  Every op writes into
+    an array this call allocates; C and PN, which sibling stages share,
+    are only read."""
     ell = L[i, i]
     c = C[-1]
-    rem = np.maximum(r2 - PN, 0.0)
-    s = np.sqrt(rem)
-    lo = np.ceil((-s - c) / ell - 1e-9)
-    hi = np.floor((s - c) / ell + 1e-9)
+    s = np.subtract(r2, PN)
+    np.maximum(s, 0.0, out=s)
+    np.sqrt(s, out=s)
+    a = np.add(s, c)
+    a /= ell
+    a += 1e-9
+    np.floor(a, out=a)
     if free:
-        lo[0] = max(lo[0], 0.0)
-    cnt = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        a[0] = min(a[0], 0.0)
+    hi = np.subtract(s, c, out=s)
+    hi /= ell
+    hi += 1e-9
+    np.floor(hi, out=hi)
+    hi += a
+    hi += 1
+    cnt = np.maximum(hi, 0, out=hi).astype(np.int64)
     ends = np.cumsum(cnt)
     total = int(ends[-1])
     if total == 0:
         return None
+    ends -= cnt
+    a += ends
+    np.negative(a, out=a)  # lo minus the children before node j
     idx = np.repeat(np.arange(len(cnt)), cnt)
-    t = (lo - (ends - cnt))[idx] + np.arange(total)
-    comp = c[idx] + t * ell
-    newPN = PN[idx] + comp * comp
+    t = np.take(a, idx)
+    comp = np.arange(total, dtype=np.float64)
+    t += comp
+    np.multiply(t, ell, out=comp)
+    newPN = np.take(c, idx)
+    comp += newPN
+    np.take(PN, idx, out=newPN)
+    comp *= comp
+    newPN += comp
     newC = np.take(C[:-1], idx, axis=1)
     newC += L[i, i - len(newC):i, None] * t
     return t, idx, newC, newPN
@@ -441,11 +467,15 @@ def _search(b: ScaledBasis, T: int):
     shorter.  A popped stage whose window is used up (the root's is
     empty) first rebuilds the rows of coordinates max(i - _WINDOW, 0)..i-1
     from its prefix coordinates X with one float64 GEMM,
-    L[i:, lo:i].T @ X.  Above the last level (i > 1) the children are
-    pushed in column slices C[:, sl] of _CHUNK nodes that share their
-    parents, the all-zero prefix in column 0 of the first, so a stage
-    holds at most _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min
-    the least Cholesky diagonal entry, with at most _WINDOW centre rows each.
+    L[i:, lo:i].T @ X.  Above the last level (i > 1) the n children are
+    pushed as ceil(n / _CHUNK) column slices C[:, sl] whose sizes differ
+    by at most one and that share their parents, the all-zero prefix in
+    column 0 of the first, so a stage holds at most
+    _CHUNK * (2 floor(sqrt(T) / l_min) + 1) children, l_min the least
+    Cholesky diagonal entry, with at most _WINDOW centre rows each.
+    Slices of _CHUNK nodes plus a remainder would send each remainder
+    down the tree as a stage of its own: BW32 at norm 4 takes 2398
+    stages with equal slices and took 3271 with those.
 
     The float pruning runs at the radius T (1 + 2 (4r + 4) u kappa) +
     ENUM_MARGIN, with u = 2^-53, K = |L^T| |L^-T| and kappa = ||K||_1
@@ -497,10 +527,12 @@ def _search(b: ScaledBasis, T: int):
             continue
         t, idx, C, PN = out
         if i > 1:
-            for k in range(0, len(t), _CHUNK):
-                sl = slice(k, k + _CHUNK)
+            k = -(-len(t) // _CHUNK)  # slices, each of <= _CHUNK nodes
+            cuts = [j * len(t) // k for j in range(k + 1)]
+            for a, z in zip(cuts, cuts[1:]):
+                sl = slice(a, z)
                 stack.append((levels + ((t[sl], idx[sl]),), C[:, sl],
-                              PN[sl], free and k == 0))
+                              PN[sl], free and a == 0))
             continue
         levels += ((t, idx),)
         m = len(PN)

@@ -103,6 +103,40 @@ def plane_norm_vectors(b: ScaledBasis, n) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+# The search kernel's level step as it stood before it was rewritten to
+# work in place (floats out of fresh arrays, lo by its own ceil), kept
+# verbatim as the reference that the in-place step must match bit for bit.
+
+def _expand_stage(L: np.ndarray, i: int, C, PN, free: bool, r2: float):
+    """One tree layer, vectorized over all live prefixes.  C is the
+    stage's window of centre terms, level-major: its rows are coordinates
+    i+1-len(C)..i, one column per node.  Returns each child's coordinate t
+    (float64, an exact small integer) and parent index idx, with the
+    children's window (the rows but the last, gathered and rank-1
+    updated) and PN.  If free, column 0 is the all-zero prefix and its
+    t = 0 child comes first."""
+    ell = L[i, i]
+    c = C[-1]
+    rem = np.maximum(r2 - PN, 0.0)
+    s = np.sqrt(rem)
+    lo = np.ceil((-s - c) / ell - 1e-9)
+    hi = np.floor((s - c) / ell + 1e-9)
+    if free:
+        lo[0] = max(lo[0], 0.0)
+    cnt = np.maximum(hi - lo + 1, 0).astype(np.int64)
+    ends = np.cumsum(cnt)
+    total = int(ends[-1])
+    if total == 0:
+        return None
+    idx = np.repeat(np.arange(len(cnt)), cnt)
+    t = (lo - (ends - cnt))[idx] + np.arange(total)
+    comp = c[idx] + t * ell
+    newPN = PN[idx] + comp * comp
+    newC = np.take(C[:-1], idx, axis=1)
+    newC += L[i, i - len(newC):i, None] * t
+    return t, idx, newC, newPN
+
+
 def box_norm_count(b: ScaledBasis, n) -> int:
     """Number of lattice vectors of exact norm n, by box_norm_vectors."""
     return len(box_norm_vectors(b, n)) - (1 if n == 0 else 0)

@@ -486,9 +486,10 @@ def test_bw16_tree_level_by_level(monkeypatch):
 
 
 # sha256 over the blocks that _search yields for BW16 out to norm 8, in
-# order: V.tobytes(), S.tobytes() and V.dtype.str of each
+# order: V.tobytes(), S.tobytes() and V.dtype.str of each; the rows pin
+# below holds their content, this one also their grouping into blocks
 BW16_BLOCKS_DIGEST = \
-    "69cb44cb4ad68088714b1d88dc848c5eb0f0e9c8319b95a67f14d0b27348838d"
+    "4ff033fbd02aa3f753bdd00b51db7dab866dc539c9f739ba6293c0f6733d7823"
 
 
 def test_bw16_search_blocks_pinned():
@@ -500,7 +501,7 @@ def test_bw16_search_blocks_pinned():
         h.update(S.tobytes())
         h.update(V.dtype.str.encode())
         blocks += 1
-    assert blocks == 51
+    assert blocks == 43
     assert h.hexdigest() == BW16_BLOCKS_DIGEST
 
 
@@ -678,6 +679,78 @@ def test_window_rebuild_matches_whole_window(monkeypatch, chunk):
         if want is not None:
             assert [tuple(k * x for x in r) for r in rows] == want
     assert len(cases) > 40 and len(whole[-1][1]) == 61440
+
+
+def test_in_place_level_step_matches_the_fresh_array_step(monkeypatch):
+    # every stage of BW16 at norm 8, and of the _split_cases searches cut
+    # into 7-node slices, runs through both steps: the outputs agree bit
+    # for bit, and the step leaves its inputs, which sibling slices
+    # share, as they were
+    step = exlat._expand_stage
+    seen = {"stages": 0, "free": 0, "childless": 0}
+
+    def both(L, i, C, PN, free, r2):
+        C0, PN0 = C.copy(), PN.copy()
+        got = step(L, i, C, PN, free, r2)
+        assert np.array_equal(C, C0) and np.array_equal(PN, PN0)
+        want = _oracles._expand_stage(L, i, C, PN, free, r2)
+        seen["stages"] += 1
+        seen["free"] += free
+        if want is None:
+            seen["childless"] += 1
+            assert got is None
+            return got
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w) and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        return got
+
+    monkeypatch.setattr(exlat, "_expand_stage", both)
+    b = exlat.hnf_basis(bw.bw16())
+    assert dict(exlat._shells.__wrapped__(b, int(exlat._frame_norm(b, 8)))) \
+        == {8: 4320, 12: 61440, 16: 522720}
+    assert seen["free"] == 16
+    monkeypatch.setattr(exlat, "_CHUNK", 7)
+    for bb, T, k, want in _split_cases():
+        hist, rows = _both_signs(bb, T)
+        if want is not None:
+            assert [tuple(k * x for x in r) for r in rows] == want
+    assert seen["stages"] > 50000 and seen["childless"] > 0
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_children_split_into_equal_slices(monkeypatch, chunk):
+    # each expansion above the leaves is pushed as ceil(n / _CHUNK) slices
+    # whose sizes differ by at most 1; a slice's PN is a view of its
+    # parent expansion's PN, which is how the slices are matched up
+    monkeypatch.setattr(exlat, "_CHUNK", chunk)
+    step = exlat._expand_stage
+    pending = {}  # id of an expansion's PN: [that PN, its slices' sizes]
+    split = 0
+
+    def recorded(L, i, C, PN, free, r2):
+        nonlocal split
+        if PN.base is not None:
+            parent, sizes = pending[id(PN.base)]
+            sizes.append(len(PN))
+            if sum(sizes) == len(parent):
+                del pending[id(PN.base)]
+                assert len(sizes) == -(-len(parent) // chunk)
+                assert max(sizes) <= chunk and max(sizes) - min(sizes) <= 1
+                split += len(sizes) > 1
+        out = step(L, i, C, PN, free, r2)
+        if out is not None and i > 0:
+            pending[id(out[3])] = (out[3], [])
+        return out
+
+    monkeypatch.setattr(exlat, "_expand_stage", recorded)
+    cases = _split_cases()
+    for bb, T, k, want in cases:
+        hist, rows = _both_signs(bb, T)
+        assert not pending
+        if want is not None:
+            assert [tuple(k * x for x in r) for r in rows] == want
+    assert len(rows) == 61440 and split > 100
 
 
 def _r4(n):
