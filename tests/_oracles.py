@@ -3,7 +3,8 @@
 Everything here recomputes values by a different method than the
 package: vector counts by exhaustive box enumeration bounded through an
 eigenvalue estimate, rank-2 shells by solving a quadratic in exact integers at each second
-coordinate, series products by the schoolbook double loop,
+coordinate, one level of the tree search by the fresh-array step that
+the in-place one replaced, series products by the schoolbook double loop,
 series roots by Newton iteration over rationals,
 group closures by products of dense matrices and by a per-element FIFO
 queue of signed permutations, linear solves by Gauss-Jordan

@@ -712,7 +712,7 @@ def test_in_place_level_step_matches_the_fresh_array_step(monkeypatch):
     assert seen["free"] == 16
     monkeypatch.setattr(exlat, "_CHUNK", 7)
     for bb, T, k, want in _split_cases():
-        hist, rows = _both_signs(bb, T)
+        _, rows = _both_signs(bb, T)
         if want is not None:
             assert [tuple(k * x for x in r) for r in rows] == want
     assert seen["stages"] > 50000 and seen["childless"] > 0
@@ -746,7 +746,7 @@ def test_children_split_into_equal_slices(monkeypatch, chunk):
     monkeypatch.setattr(exlat, "_expand_stage", recorded)
     cases = _split_cases()
     for bb, T, k, want in cases:
-        hist, rows = _both_signs(bb, T)
+        _, rows = _both_signs(bb, T)
         assert not pending
         if want is not None:
             assert [tuple(k * x for x in r) for r in rows] == want
