@@ -105,8 +105,10 @@ def similarity_invariants(a: ScaledBasis, b: ScaledBasis, scale,
 
     Verifies det(a) = scale^rank * det(b), evenness of both, and the
     norm-profile equalities |a(scale*n)| = |b(n)| for n in norms:
-    necessary conditions, never a proof (phi gives the proofs).  Each
-    lattice is searched once, out to the largest asked norm.
+    necessary conditions, never a proof (phi gives the proofs).  One
+    cached histogram per lattice, out to the largest asked norm: for bw1
+    and BW32 a search of their rank-16 half joined by glue class (see
+    exlat._glue_plan), for other lattices one tree search.
     """
     scale = Fraction(scale)
     if scale <= 0:

@@ -556,22 +556,163 @@ def _search(b: ScaledBasis, T: int):
         yield V[:n], S[:n]
 
 
-@lru_cache(maxsize=64)
-def _shells(b: ScaledBasis, T: int) -> MappingProxyType:
-    """Read-only norm histogram of the canonical basis b out to radius T."""
+def _tree_shells(b: ScaledBasis, T: int) -> dict[int, int]:
+    """Norm histogram, both signs, of one tree search of b out to T."""
     hist: dict[int, int] = {}
     for _, S in _search(b, T):
         norms, counts = np.unique(S, return_counts=True)
         for t, c in zip(norms.tolist(), counts.tolist()):
             hist[t] = hist.get(t, 0) + 2 * c
-    return MappingProxyType(hist)
+    return hist
+
+
+@lru_cache(maxsize=64)
+def _glue_plan(b: ScaledBasis):
+    """The glue split of the canonical basis b of L, or None unless L has
+    full rank n = 2h and the first and the last h coordinates of its rows
+    span one lattice P.  Then (P, Ge, top, A, radix): P's canonical basis
+    (den b.den, since b's entries and P's have one gcd, prime to b.den)
+    and the keys of P's vectors, as below.
+
+    b's rows are H = [[B, Q], [0, H2]], upper triangular: B spans P, H2
+    spans M = L cap (0 + R^h).  Back-substitution gives the integral
+    Y = d H^-1[:, h:], d = det H.  For p, q in P, (p, q) lies in L iff
+    (p, q) H^-1 is integral; its first half p B^-1 is, so iff p Y[:h] +
+    q Y[h:] = 0 mod d.  u = gcd(d, v Y[:h] and v Y[h:] over P's rows v)
+    divides both terms, so with e = d / u the keys key_L(p) = p Y[:h] / u
+    and key_R(q) = -q Y[h:] / u mod e lie in (Z/e)^h, and (p, q) lies in
+    L iff key_L(p) = key_R(q).  The keys of P's rows and e I span a
+    lattice whose HNF has a pivot dividing e in each column; only the
+    columns S with a pivot below e are kept.  A key that vanishes on S is
+    0 mod e: its first column j that is not 0 mod e lies outside S, and
+    there, after the columns before j are cleared, it is a multiple of
+    the pivot e.  With g = gcd(u, Y[:, S]) and G = u / g, A = Y[:, S] / g
+    mod G e, and a row V of P has V A = G key mod G e, so the keys pack,
+    base e by the float64 GEMV with radix e^j, into integers below top =
+    G e^|S|.
+    """
+    n = b.ambient_dim
+    h = n // 2
+    if n % 2 or len(b.mat) != n:
+        return None
+    rows = hnf_int_rows([r[:h] for r in b.mat])
+    if rows != hnf_int_rows([r[h:] for r in b.mat]):
+        return None
+    d = math.prod(b.mat[i][i] for i in range(n))
+    Y = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = b.mat[i]
+        acc = [d * (i == h + j) for j in range(h)]
+        for j in range(i + 1, n):
+            if row[j]:
+                acc = [a - row[j] * y for a, y in zip(acc, Y[j])]
+        Y[i] = [a // row[i] for a in acc]
+    Y[h:] = [[-y for y in r] for r in Y[h:]]  # the sign of key_R
+    VY = [[sum(map(operator.mul, v, c)) for c in zip(*Y[s:s + h])]
+          for s in (0, h) for v in rows]
+    u = math.gcd(d, *(x for r in VY for x in r))
+    e = d // u
+    H = hnf_int_rows([[x // u % e for x in r] for r in VY]
+                     + [[e * (i == j) for j in range(h)] for i in range(h)])
+    keep = [j for j, r in enumerate(H) if r[j] < e]
+    g = math.gcd(u, *(r[j] for r in Y for j in keep))
+    Ge = u // g * e
+    A = np.array([[r[j] // g % Ge for j in keep] for r in Y], dtype=np.float64)
+    radix = np.array([float(e ** j) for j in range(len(keep))])
+    P = ScaledBasis(tuple(map(tuple, rows)), b.den, b.frame_scale)
+    return P, Ge, u // g * e ** len(keep), np.hstack([A[:h], A[h:]]), radix
+
+
+def _glue_shells(plan, T: int) -> dict[int, int] | None:
+    """Norm histogram, both signs, of the lattice L of _glue_plan's plan
+    out to T, from one tree search of its half P out to T; None where the
+    key arithmetic could be inexact.
+
+    Every vector of L is a pair (p, q) of vectors of P of norm <= T with
+    key_L(p) = key_R(q).  The search's rows V stand for +-V: p runs over
+    V with weight 2 and 0 with weight 1, q over V, -V and 0, since (p, q)
+    and (-p, -q) lie in L together.  A slice of rows gets its keys from
+    one float64 GEMM V A: its entries are below isqrt(T) and A's below
+    G e, so h isqrt(T) max A < 2^53 (_EXACT) bounds every product and
+    partial sum, as in _search, and the radix GEMV's terms and sums are
+    integers below top < 2^53.  Each side's (key, norm) pairs are counted
+    per block as int64 codes key (T + 1) + norm < top (T + 1) <= 2^63;
+    the sides are joined class by class over their distinct norms only,
+    and the (0, 0) pair is left out.
+    """
+    P, Ge, top, A, radix = plan
+    h, m = A.shape[0], len(radix)
+    if h * math.isqrt(T) * int(A.max(initial=0)) >= _EXACT \
+            or top >= _EXACT or top * (T + 1) > 1 << 63:
+        return None
+    zero = (np.zeros(1, np.int64), np.ones(1, np.int64))
+    sides = ([zero], [zero])
+    for V, N in _search(P, T):
+        n = len(N)
+        left, right = np.empty(n, np.int64), np.empty(2 * n, np.int64)
+        for a in range(0, n, _CHUNK // 4):
+            z = min(a + _CHUNK // 4, n)
+            W = _mod((V[a:z] @ A).astype(np.int64), Ge)
+            R = W[:, m:]
+            left[a:z] = W[:, :m] @ radix
+            right[a:z] = R @ radix
+            right[n + a:n + z] = _mod(np.negative(R, out=R), Ge) @ radix
+        for side, keys, norms, w in ((sides[0], left, N, 2),
+                                     (sides[1], right, np.tile(N, 2), 1)):
+            keys *= T + 1
+            keys += norms
+            codes, cnt = np.unique(keys, return_counts=True)
+            side.append((codes, w * cnt))
+    (kl, nl, cl), (kr, nr, cr) = (_code_counts(s, T + 1) for s in sides)
+    lo, hi = np.searchsorted(kr, kl), np.searchsorted(kr, kl, "right")
+    reps = hi - lo
+    li = np.repeat(np.arange(len(kl)), reps)
+    ri = np.arange(int(reps.sum())) + np.repeat(lo - (np.cumsum(reps) - reps), reps)
+    s, w = nl[li] + nr[ri], cl[li] * cr[ri]
+    ok = (s > 0) & (s <= T)
+    norms, inv = np.unique(s[ok], return_inverse=True)
+    counts = np.zeros(len(norms), np.int64)
+    np.add.at(counts, inv, w[ok])
+    return dict(zip(norms.tolist(), counts.tolist()))
+
+
+def _mod(x, q: int):
+    """x mod q in place, for an int64 array x: a mask where q is a power
+    of two, as for the Barnes-Wall lattices, else np.remainder."""
+    if q & (q - 1):
+        return np.remainder(x, q, out=x)
+    x &= q - 1
+    return x
+
+
+def _code_counts(parts, step):
+    """(key, norm, count), sorted by key then norm, of the summed counts
+    of the (codes, counts) parts, each code key * step + norm."""
+    codes, inv = np.unique(np.concatenate([c for c, _ in parts]),
+                           return_inverse=True)
+    counts = np.zeros(len(codes), np.int64)
+    np.add.at(counts, inv, np.concatenate([w for _, w in parts]))
+    return codes // step, codes % step, counts
+
+
+@lru_cache(maxsize=64)
+def _shells(b: ScaledBasis, T: int) -> MappingProxyType:
+    """Read-only norm histogram of the canonical basis b out to radius T:
+    by the glue split when _glue_plan finds one and its keys are exact,
+    else by the tree."""
+    plan = _glue_plan(b)
+    hist = _glue_shells(plan, T) if plan else None
+    return MappingProxyType(_tree_shells(b, T) if hist is None else hist)
 
 
 def enumerate_norm(b: ScaledBasis, n, threads: int | None = None) -> int:
     """Number of lattice vectors of exact norm n (both signs of each pair),
-    read from the cached norm histogram of one search out to n.  The
-    search runs in one thread; threads is accepted and ignored.  Raises
-    ValueError past the search kernel's three limits (see _search).
+    read from the cached norm histogram out to n.  That histogram joins
+    the glue classes of one search of the lattice's half where its two
+    frame halves project to one lattice (_glue_plan), else reads one tree
+    search of the whole lattice.  The search runs in one thread; threads
+    is accepted and ignored.  Raises ValueError past the search kernel's
+    three limits (see _search).
     """
     del threads
     bb = hnf_basis(b)

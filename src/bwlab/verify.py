@@ -6,17 +6,20 @@ thunk that recomputes the actual value from scratch.  checks() lists
 them in one fixed order, and an id's first dotted part names its
 module.  run_all turns each into one report row, which passes exactly
 when its actual value equals the expected one, and assembles one
-JSON-serializable report.  The slow flag holds back two tree searches,
+JSON-serializable report.  The slow flag holds back two histograms,
 BW32 out to norm 4 and bw1 out to norm 8, and every check that reads
 them; srg.h5-perp (about 10 ms) and lattice.bw32-norm4-generates (about 1 ms)
 are slow only so that the fast sweep stays at 52 checks.
 
-Every lattice fact that needs vectors comes from one single-threaded
-tree search per lattice and radius, whose norm histogram is cached, so
-the rank-32 kissing number and minimum share one norm-4 search with the
-slow similarity32-full profile.  Generation by the norm-4 vectors is
-proved by the LLL basis rows, and the two fast similarities by the
-exact map phi = 1 + i, all with no search.  The exact linear algebra
+Every lattice count comes from one cached norm histogram per lattice
+and radius, from one single-threaded search: BW16, BW32 and bw1 glue
+two copies of one half lattice, so their histograms join the glue
+classes of one search of that half, and other lattices are searched
+whole, by the tree.  The rank-32 kissing number and minimum share one
+norm-4 histogram with the slow similarity32-full profile.  Generation
+by the norm-4 vectors is proved by the LLL basis rows, and the two fast
+similarities by the exact map phi = 1 + i, all with no search.  The
+exact linear algebra
 (duals, quotients, determinants) is fraction-free elimination in
 Python integers.
 """
@@ -234,7 +237,7 @@ def make_report(rows: list[dict]) -> dict:
 def run_all(skip_slow: bool = True) -> dict:
     """Execute every check and return the report dict.
 
-    skip_slow omits the two slow tree searches (BW32 out to norm 4, bw1
+    skip_slow omits the two slow histograms (BW32 out to norm 4, bw1
     out to norm 8) with every check that reads them, and the two cheap
     checks kept slow so that the fast sweep stays at 52.
     """

@@ -288,7 +288,7 @@ def test_bw32_norm2_tree_size(monkeypatch):
 
     monkeypatch.setattr(exlat, "_expand_stage", counted)
     bb = exlat.hnf_basis(bw.bw32())
-    assert exlat._shells.__wrapped__(bb, int(exlat._frame_norm(bb, 2))) == {}
+    assert exlat._tree_shells(bb, int(exlat._frame_norm(bb, 2))) == {}
     assert 0 < nodes <= 30000
 
 

@@ -457,8 +457,8 @@ def test_search_histograms_on_the_reduced_basis(name, norm, hist):
 
 
 def _level_counts(monkeypatch, b, n):
-    """Children per tree level, r-1 down to 0, of one uncached search of
-    b out to norm n."""
+    """Children per tree level, r-1 down to 0, of one uncached tree
+    search of b out to norm n."""
     levels = {}
     expand = exlat._expand_stage
 
@@ -470,7 +470,7 @@ def _level_counts(monkeypatch, b, n):
 
     monkeypatch.setattr(exlat, "_expand_stage", counted)
     bb = exlat.hnf_basis(b)
-    exlat._shells.__wrapped__(bb, int(exlat._frame_norm(bb, n)))
+    exlat._tree_shells(bb, int(exlat._frame_norm(bb, n)))
     return [levels[i] for i in sorted(levels, reverse=True)]
 
 
@@ -529,6 +529,141 @@ def test_bw16_search_rows_pinned():
 def test_rank32_tree_sizes(monkeypatch, name, norm, nodes):
     levels = _level_counts(monkeypatch, getattr(bw, name)(), norm)
     assert len(levels) == 32 and sum(levels) == nodes
+
+
+# --------------------------------------------------------------------------
+# glue split: lattices whose two frame halves project to one lattice P
+
+
+def _no_tree(b, T):
+    raise AssertionError("the tree ran")
+
+
+def _no_split(plan, T):
+    raise AssertionError("the split ran")
+
+
+@pytest.mark.parametrize("norm", [2, 4, 6, 8, 10])
+def test_bw16_split_matches_the_tree(monkeypatch, norm):
+    bb = exlat.hnf_basis(bw.bw16())
+    T = int(exlat._frame_norm(bb, norm))
+    tree = exlat._tree_shells(bb, T)
+    monkeypatch.setattr(exlat, "_tree_shells", _no_tree)
+    assert dict(exlat._shells.__wrapped__(bb, T)) == tree
+    assert sum(tree.values()) == [0, 4320, 65760, 588480, 2800320][norm // 2 - 1]
+
+
+def _keys(plan, V):
+    """The left and right keys of the half vectors V under plan."""
+    _, Ge, _, A, radix = plan
+    W = np.mod(np.asarray(V, dtype=np.int64) @ A.astype(np.int64), Ge)
+    return W[:, :len(radix)] @ radix, W[:, len(radix):] @ radix
+
+
+@pytest.mark.parametrize("name", ["bw16", "bw16-dual", "bw32", "bw1"])
+def test_split_keys_match_exactly_on_the_pairs_of_the_lattice(name):
+    # a pair (p, q) of half vectors lies in L exactly when the left key
+    # of p equals the right key of q; membership by the HNF of L's rows
+    # with (p, q) added, which no key arithmetic enters
+    b = exlat.dual(bw.bw16()) if name == "bw16-dual" else getattr(bw, name)()
+    bb = exlat.hnf_basis(b)
+    plan = exlat._glue_plan(bb)
+    assert plan is not None
+    P = plan[0]
+    half = [r for V, S in exlat._search(P, 2 * min(
+        sum(x * x for x in r) for r in exlat.lll_reduce(P).mat))
+        for r in V.tolist()]
+    half = [[0] * len(half[0])] + half + [[-x for x in r] for r in half]
+    left, right = _keys(plan, half)
+    rng = random.Random(39)
+    want = [list(r) for r in bb.mat]
+    seen = set()
+    for _ in range(150):
+        i, j = rng.randrange(len(half)), rng.randrange(len(half))
+        member = exlat.hnf_int_rows(want + [half[i] + half[j]]) == want
+        assert (left[i] == right[j]) == member
+        seen.add(member)
+        # every p has a partner in its own key class, and it is one
+        k = int(np.flatnonzero(right == left[i])[0])
+        assert exlat.hnf_int_rows(want + [half[i] + half[k]]) == want
+    assert seen == {True, False}
+
+
+def test_random_glue_pairs_split_matches_the_box_oracle(monkeypatch):
+    # (A + A) + {(v, v) : v in D} for small random A and D; the tree is
+    # stubbed out, so every histogram here is the split's
+    monkeypatch.setattr(exlat, "_tree_shells", _no_tree)
+    rng = random.Random(43)
+    moduli, checked = set(), 0
+    while checked < 120:
+        a = _oracles.random_small_basis(rng, 3)
+        d = _oracles.random_small_basis(rng, 3)
+        if a.ambient_dim != d.ambient_dim:
+            continue
+        bb = bw._glue_pair(a, d)
+        if len(bb.mat) != bb.ambient_dim or len(bb.mat) > 6:
+            continue
+        plan = exlat._glue_plan(bb)
+        moduli.add(plan[1] & (plan[1] - 1) == 0)
+        step = bb.frame_scale / (bb.den * bb.den)
+        for mult in (1, 2, 3, 5, 8):
+            try:
+                want = _oracles.box_norm_histogram(bb, step * mult)
+            except ValueError:  # past the box oracle's size limit
+                break
+            T = int(exlat._frame_norm(bb, step * mult))
+            assert dict(exlat._shells.__wrapped__(bb, T)) == want
+            checked += 1
+    # both the mask and the np.remainder key paths ran
+    assert moduli == {True, False}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, norm, hist", [
+    ("bw32", 2, {}),
+    ("bw32", 4, {32: 146880}),
+    ("bw1", 8, {16: 146880}),
+])
+def test_rank32_split_matches_the_tree(monkeypatch, name, norm, hist):
+    bb = exlat.hnf_basis(getattr(bw, name)())
+    T = int(exlat._frame_norm(bb, norm))
+    assert exlat._tree_shells(bb, T) == hist
+    monkeypatch.setattr(exlat, "_tree_shells", _no_tree)
+    assert dict(exlat._shells.__wrapped__(bb, T)) == hist
+
+
+@pytest.mark.parametrize("rows, den", [
+    ([[1, 0], [0, 2]], 1),              # halves Z and 2Z
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),  # odd dimension
+    ([[1, 1, 0, 0], [0, 1, 1, 0]], 2),  # rank below the dimension
+    ([[2, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 3]], 1),
+])
+def test_lattices_without_a_split_take_the_tree(monkeypatch, rows, den):
+    b = ScaledBasis.from_rows(rows, den)
+    bb = exlat.hnf_basis(b)
+    assert exlat._glue_plan(bb) is None
+    monkeypatch.setattr(exlat, "_glue_shells", _no_split)
+    for mult in (1, 2, 5, 9):
+        n = Fraction(mult, den * den)
+        assert dict(exlat._shells.__wrapped__(bb, int(exlat._frame_norm(bb, n)))) \
+            == _oracles.box_norm_histogram(b, n)
+
+
+def test_split_falls_back_to_the_tree_past_its_exact_range():
+    # {(x, y) in Z^4 + Z^4 : y = x mod (p_1, .., p_4)} for four primes
+    # near 2^13: one glue class per residue, about 2^52 of them, so the
+    # keys would pass 2^53 and the tree counts.  Below norm 2 * 8191^2
+    # its vectors are the (x, x), r_4(m) of them at norm 2m
+    primes = (8191, 8209, 8219, 8221)
+    rows = [[int(i == j) for j in range(4)] * 2 for i in range(4)]
+    rows += [[0] * 4 + [p * (i == j) for j in range(4)]
+             for i, p in enumerate(primes)]
+    bb = exlat.hnf_basis(ScaledBasis.from_rows(rows))
+    plan = exlat._glue_plan(bb)
+    assert plan is not None and plan[1] == math.prod(primes)
+    for T in (8, 1 << 60):
+        assert exlat._glue_shells(plan, T) is None
+    assert dict(exlat._shells(bb, 8)) == {2 * m: _r4(m) for m in (1, 2, 3, 4)}
 
 
 # --------------------------------------------------------------------------
@@ -621,9 +756,9 @@ def test_streamed_rows_match_box_oracle():
 
 
 def _both_signs(bb, T):
-    """The uncached histogram and the sorted norm-T rows with their
+    """The uncached tree histogram and the sorted norm-T rows with their
     negatives of the search of the canonical basis bb out to radius T."""
-    hist = dict(exlat._shells.__wrapped__(bb, T))
+    hist = exlat._tree_shells(bb, T)
     half = [tuple(r) for V, S in exlat._search(bb, T)
             for r in V[S == T].tolist()]
     return hist, sorted(half + [tuple(-x for x in r) for r in half])
@@ -707,7 +842,7 @@ def test_in_place_level_step_matches_the_fresh_array_step(monkeypatch):
 
     monkeypatch.setattr(exlat, "_expand_stage", both)
     b = exlat.hnf_basis(bw.bw16())
-    assert dict(exlat._shells.__wrapped__(b, int(exlat._frame_norm(b, 8)))) \
+    assert exlat._tree_shells(b, int(exlat._frame_norm(b, 8))) \
         == {8: 4320, 12: 61440, 16: 522720}
     assert seen["free"] == 16
     monkeypatch.setattr(exlat, "_CHUNK", 7)
@@ -772,20 +907,31 @@ def _scrambled_kz4(k, rng):
     return ScaledBasis.from_rows([[k * x for x in r] for r in U])
 
 
-@pytest.mark.parametrize("chunk, window", [
-    pytest.param(None, None, id="None"),
-    pytest.param(7, None, id="7"),
-    pytest.param(None, 1, id="None-window1"),
-    pytest.param(7, 1, id="7-window1"),
+@pytest.mark.parametrize("chunk, window, split", [
+    pytest.param(None, None, False, id="None"),
+    pytest.param(7, None, False, id="7"),
+    pytest.param(None, 1, False, id="None-window1"),
+    pytest.param(7, 1, False, id="7-window1"),
+    pytest.param(None, None, True, id="None-split"),
+    pytest.param(7, None, True, id="7-split"),
+    pytest.param(None, 1, True, id="None-window1-split"),
+    pytest.param(7, 1, True, id="7-window1-split"),
 ])
-def test_large_radius_matches_jacobi_four_squares(monkeypatch, chunk, window):
+def test_large_radius_matches_jacobi_four_squares(monkeypatch, chunk, window,
+                                                  split):
     # radii up to the kernel's 2^40 limit, where the float slack
     # ENUM_MARGIN is far below one ulp of the radius; a one-row window
-    # takes every centre term from the GEMM rebuild
+    # takes every centre term from the GEMM rebuild.  k Z^4 has the halves
+    # k Z^2 + 0 and 0 + k Z^2, a trivial glue, so through _shells it takes
+    # the split, whose join must stay sparse out to 2^40; the tree is
+    # stubbed out there to prove it
     if chunk is not None:
         monkeypatch.setattr(exlat, "_CHUNK", chunk)
     if window is not None:
         monkeypatch.setattr(exlat, "_WINDOW", window)
+    shells = exlat._shells.__wrapped__ if split else exlat._tree_shells
+    if split:
+        monkeypatch.setattr(exlat, "_tree_shells", _no_tree)
     rng = random.Random(30)
     radii = []
     for k in (1, 3, 1000, (1 << 16) + 1, (1 << 18) - 1, 1 << 19,
@@ -798,7 +944,7 @@ def test_large_radius_matches_jacobi_four_squares(monkeypatch, chunk, window):
         for n in sorted({1, 2, 3, top}):
             if n > top:
                 continue
-            hist = dict(exlat._shells.__wrapped__(bb, k * k * n))
+            hist = dict(shells(bb, k * k * n))
             assert hist == {k * k * m: _r4(m) for m in range(1, n + 1)}
             radii.append(k * k * n)
     assert len(radii) == 27 and max(radii) == 1 << 40
@@ -1039,8 +1185,9 @@ def test_float_gemm_leaves_match_the_int64_einsum(monkeypatch, chunk):
     assert sum(len(S) for _, S in blocks) == (4320 + 61440) // 2
 
 
-def _search_peak_bytes(b, n):
-    """tracemalloc peak of one uncached search of b out to norm n."""
+def _search_peak_bytes(b, n, shells=exlat._tree_shells):
+    """tracemalloc peak of one uncached histogram of b out to norm n, by
+    the tree unless shells says otherwise."""
     bb = exlat.hnf_basis(b)
     T = int(exlat._frame_norm(bb, n))
     exlat.lll_reduce(bb)  # cached, so the reduction is not traced
@@ -1050,7 +1197,7 @@ def _search_peak_bytes(b, n):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        exlat._shells.__wrapped__(bb, T)
+        shells(bb, T)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
@@ -1067,6 +1214,14 @@ def test_bw16_norm8_search_memory():
 def test_bw32_norm4_search_memory():
     # about 7.2 MiB; a stage that carried all its i centre rows took 16.2 MiB
     assert _search_peak_bytes(bw.bw32(), 4) <= 12 << 20
+
+
+def test_bw32_norm4_split_memory(monkeypatch):
+    # the half's search out to norm 4, keyed and counted one block at a
+    # time: about 6.5 MiB, against 7.1 MiB for the rank-32 tree
+    monkeypatch.setattr(exlat, "_tree_shells", _no_tree)
+    assert _search_peak_bytes(bw.bw32(), 4, exlat._shells.__wrapped__) \
+        <= 12 << 20
 
 
 def test_streamed_rows_and_shell_counts_agree():
