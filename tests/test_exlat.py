@@ -589,6 +589,57 @@ def test_split_keys_match_exactly_on_the_pairs_of_the_lattice(name):
     assert seen == {True, False}
 
 
+def _plan_digest(plan):
+    """sha256 of a glue plan: P, Ge, top, and A's and radix's bytes."""
+    P, Ge, top, A, radix = plan
+    h = hashlib.sha256(repr((P, Ge, top, A.shape)).encode())
+    h.update(A.tobytes())
+    h.update(radix.tobytes())
+    return h.hexdigest()
+
+
+GLUE_PLAN_DIGESTS = {
+    "bw16": "aa47077d678a203df5f2ee6ee75e2dcb0ed8717c6badcc41f9ba139894fd1413",
+    "bw16-dual":
+        "48dae8b4ad68059793b05993ebe00aee8c23bc207de51574a9bbf3615151673c",
+    "bw32": "d4874902d75fcfeb606a9e2b8ec0a2e59dd093e52f1eeb70900d06020d4109c7",
+    "bw1": "9a603ff46427a9fa2534a2e8fde3c6f93b12fdc4bf27ab7e958ba1e444005fc2",
+    "sqrt2-bw16-dual":
+        "1dfea7b213db352695ed81803e50d75679f3a59467a6d39c3f833279cfcadf37",
+    "random-glue-pairs":
+        "a6da3c36f95f8a233459e0d7a3b9e28ed7c932d87bfbf503b774f937db971747",
+}
+
+
+def test_glue_plans_pinned():
+    # the plan's every output, bit for bit: P, the modulus, the key bound
+    # and the float64 key and radix matrices
+    dual16 = exlat.dual(bw.bw16())
+    named = {"bw16": bw.bw16(), "bw16-dual": dual16, "bw32": bw.bw32(),
+             "bw1": bw.bw1(),
+             "sqrt2-bw16-dual": exlat.rescale_metric(dual16, 2)}
+    got = {k: _plan_digest(exlat._glue_plan(exlat.hnf_basis(b)))
+           for k, b in named.items()}
+    rng = random.Random(40)
+    h, pow2, n = hashlib.sha256(), set(), 0
+    while n < 20:
+        a = _oracles.random_small_basis(rng, 3)
+        d = _oracles.random_small_basis(rng, 3)
+        if a.ambient_dim != d.ambient_dim:
+            continue
+        bb = bw._glue_pair(a, d)
+        if len(bb.mat) != bb.ambient_dim:
+            continue
+        plan = exlat._glue_plan(bb)
+        h.update(_plan_digest(plan).encode())
+        pow2.add(plan[1] & (plan[1] - 1) == 0)
+        n += 1
+    got["random-glue-pairs"] = h.hexdigest()
+    assert got == GLUE_PLAN_DIGESTS
+    # power-of-two and other moduli both occur among the random pairs
+    assert pow2 == {True, False}
+
+
 def test_random_glue_pairs_split_matches_the_box_oracle(monkeypatch):
     # (A + A) + {(v, v) : v in D} for small random A and D; the tree is
     # stubbed out, so every histogram here is the split's
