@@ -76,9 +76,9 @@ def _space(text: str):
 
 
 def _load_space(args) -> tuple[str, f2quad.QuadSpace]:
-    """The --file or --space form, with its label in check ids."""
+    """The --file or --space form; its label, "." as "-", goes in check ids."""
     if args.file:
-        return args.file, f2quad.read_form(args.file)
+        return args.file.replace(".", "-"), f2quad.read_form(args.file)
     kind, m = args.space
     space = f2quad.hyperbolic(m) if kind == "h" else f2quad.elliptic(m)
     return f"{kind}{m}", space
@@ -88,9 +88,9 @@ _LATTICES = {"bw16": bw.bw16, "bw32": bw.bw32, "bw1": bw.bw1}
 
 
 def _load_lattice(args) -> tuple[str, exlat.ScaledBasis]:
-    """The --file or --lattice basis, with its label in check ids."""
+    """The --file or --lattice basis; its label, as _load_space's, in ids."""
     if args.file:
-        return args.file, exlat.read_lattice(args.file)
+        return args.file.replace(".", "-"), exlat.read_lattice(args.file)
     return args.lattice, _LATTICES[args.lattice]()
 
 
@@ -215,10 +215,11 @@ def _cmd_orders_e6(args) -> int:
 
 def _cmd_orders_shape(args) -> int:
     fi = gord.shape_order(args.shape)
-    facts, lines = [(args.shape, "2.8", fi)], [str(fi)]
+    label = args.shape.replace(".", "-")  # as _load_space's labels
+    facts, lines = [(label, "2.8", fi)], [str(fi)]
     if args.sylow:
         part = gord.sylow_part(fi, args.sylow)
-        facts.append((f"{args.shape}.sylow-{args.sylow}", "2.8", part))
+        facts.append((f"{label}.sylow-{args.sylow}", "2.8", part))
         lines.append(f"{args.sylow}-part: {part}")
     return _facts(args, "orders.shape", facts, lines)
 

@@ -306,7 +306,8 @@ def test_malformed_form_file_exits_2(tmp_path, capsys, body):
 # golden outputs: the exact text lines and the JSON (id, expected, actual,
 # pass) list of every leaf command; verify-paper's report is the registry's,
 # pinned in test_verify.py.  "{tmp}" stands for the test's directory, which
-# holds bw16.lat (BW16's canonical basis) and plus.f2q (x1 x3 + x2 x4).
+# holds bw16.lat (BW16's canonical basis) and plus.f2q (x1 x3 + x2 x4); in
+# a check id, as every user-given label there, with each "." a "-".
 
 
 def _facts(prefix, *pairs):
@@ -329,14 +330,14 @@ GOLDEN = [
      _facts("lattice.bw16", *_BW16_BUILD)),
     (["lattice", "build", "--file", "{tmp}/bw16.lat"], 0,
      [f"{n} = {v}" for n, v in _BW16_BUILD],
-     _facts("lattice.{tmp}/bw16.lat", *_BW16_BUILD)),
+     _facts("lattice.{tmp}/bw16-lat", *_BW16_BUILD)),
     (["lattice", "enumerate", "--lattice", "bw16", "--norm", "4"], 0,
      ["4320 vectors of norm 4"],
      _facts("lattice.bw16", ("norm-4-count", 4320))),
     (["lattice", "enumerate", "--file", "{tmp}/bw16.lat", "--norm", "4",
       "--count-only"], 0,
      ["4320"],
-     _facts("lattice.{tmp}/bw16.lat", ("norm-4-count", 4320))),
+     _facts("lattice.{tmp}/bw16-lat", ("norm-4-count", 4320))),
     (["lattice", "invariants", "--lattice", "bw16"], 0,
      [f"{n} = {v}" for n, v in _BW16_INVARIANTS],
      _facts("lattice.bw16", *_BW16_INVARIANTS)),
@@ -345,7 +346,7 @@ GOLDEN = [
      _facts("quad.e4", ("singular-count", 120))),
     (["quad", "singular-count", "--file", "{tmp}/plus.f2q"], 0,
      ["9"],
-     _facts("quad.{tmp}/plus.f2q", ("singular-count", 9))),
+     _facts("quad.{tmp}/plus-f2q", ("singular-count", 9))),
     (["quad", "tss", "--space", "h5", "--k", "5"], 0,
      ["(512, 128, 32, 8, 2)"],
      _facts("quad.h5", ("tss-5", (512, 128, 32, 8, 2)))),
@@ -354,7 +355,7 @@ GOLDEN = [
      _facts("quad.h2", ("tss-3", "none"))),
     (["srg", "perp", "--file", "{tmp}/plus.f2q"], 0,
      ["(9, 4, 1, 2, 1, -2, 4, 4)"],
-     _facts("srg.{tmp}/plus.f2q", ("params", (9, 4, 1, 2, 1, -2, 4, 4)))),
+     _facts("srg.{tmp}/plus-f2q", ("params", (9, 4, 1, 2, 1, -2, 4, 4)))),
     (["srg", "perp", "--space", "h1"], 1,
      [f"not strongly regular: {_NOT_SRG}"],
      [("srg.h1.params", "strongly regular", _NOT_SRG, False)]),
@@ -368,8 +369,8 @@ GOLDEN = [
      _facts("orders", ("e6-q2", _E6_2))),
     (["orders", "shape", "--shape", "2^{27}.E6(2)", "--sylow", "2"], 0,
      [_AUT, "2-part: 2^63"],
-     _facts("orders.shape", ("2^{27}.E6(2)", _AUT),
-            ("2^{27}.E6(2).sylow-2", "2^63"))),
+     _facts("orders.shape", ("2^{27}-E6(2)", _AUT),
+            ("2^{27}-E6(2).sylow-2", "2^63"))),
     (["xrep", "check"], 0,
      ["[ok] rep.closure-orders: (8, 32, 128, 512)",
       "[ok] rep.char-norms: (1, 1, 1, 1)",
@@ -405,4 +406,26 @@ def test_golden_text_and_json(argv, code, lines, checks, tmp_path, capsys):
     assert report["pass"] is (code == 0)
     assert [(c["id"], c["expected"], c["actual"], c["pass"])
             for c in report["checks"]] == [
-        (fill(i), e, a, p) for i, e, a, p in checks]
+        (i.replace("{tmp}", str(tmp_path).replace(".", "-")), e, a, p)
+        for i, e, a, p in checks]
+
+
+def test_dotted_labels_leave_check_ids_splittable(tmp_path, capsys):
+    # a --file path and a --shape with dots: each id still splits at its
+    # dots into prefix, source and fact
+    path = tmp_path / "v1.2" / "bw16.lat"
+    path.parent.mkdir()
+    exlat.write_lattice(bw.bw16(), path)
+    code, out, _ = _run(capsys, "lattice", "invariants", "--file", str(path),
+                        "--json")
+    assert code == 0
+    source = str(path).replace(".", "-")
+    assert [c["id"].split(".") for c in json.loads(out)["checks"]] == [
+        ["lattice", source, fact]
+        for fact in ("rank", "det", "even", "dual-quotient", "min-norm")]
+    code, out, _ = _run(capsys, "orders", "shape", "--shape", "2^{27}.E6(2)",
+                        "--sylow", "2", "--json")
+    assert code == 0
+    assert [c["id"].split(".") for c in json.loads(out)["checks"]] == [
+        ["orders", "shape", "2^{27}-E6(2)"],
+        ["orders", "shape", "2^{27}-E6(2)", "sylow-2"]]

@@ -79,6 +79,16 @@ def test_registry_order_pinned():
     assert groups == MODULE_GROUPS
 
 
+def test_full_report_passes_in_registry_order():
+    # the release sweep, slow checks included: 58 rows, all passing
+    report = verify.run_all(skip_slow=False)
+    assert [c["id"] for c in report["checks"]] \
+        == [c.id for c in verify.checks()]
+    assert len(report["checks"]) == 58
+    assert [c["id"] for c in report["checks"] if not c["pass"]] == []
+    assert report["pass"] is True
+
+
 def test_report_deterministic_modulo_timing(fast_report):
     again = verify.run_all(skip_slow=True)
     assert _strip_volatile(again) == _strip_volatile(fast_report)
